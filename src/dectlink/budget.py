@@ -3,7 +3,8 @@
 Ties a transmit-side power budget to a path-loss model and a set of
 reliability thresholds, answering two questions: what RX power / SNR do we
 predict at a given distance, and how far can the link stretch before a
-threshold is violated.
+threshold is violated. The second is answered in closed form by inverting
+the model's log-affine law, clamped to 0.1 m - 1e6 m.
 """
 
 from __future__ import annotations
@@ -129,46 +130,36 @@ def predict_snr_db(budget: LinkBudget, model: PathLossModel, d_m: float) -> floa
     return predict_rx_power_dbm(budget, model, d_m) - noise_floor_dbm(budget)
 
 
-# Solver bracket in meters; generous on both ends so any plausible radio
-# link lands inside it.
+# The solver's explicit clamps: a threshold whose loss is already exceeded
+# at 0.1 m is unreachable, and answers beyond 1e6 m are capped at exactly
+# 1e6 m.
 _SOLVE_D_MIN_M = 0.1
 _SOLVE_D_MAX_M = 1.0e6
-_SOLVE_LOG_TOL = 1.0e-6
+_SOLVE_LOG_D_MIN = math.log10(_SOLVE_D_MIN_M)  # exactly -1.0
+_SOLVE_LOG_D_MAX = math.log10(_SOLVE_D_MAX_M)  # exactly 6.0
+# The log-affine coefficients reproduce the free functions only to rounding,
+# so a target this little below PL(0.1 m) still reaches 0.1 m.
+_SOLVE_ROUNDING_DB = 1.0e-9
 
 
 def distance_for_path_loss(model: PathLossModel, target_pl_db: float) -> float:
     """Largest distance (m) where model path loss stays <= target_pl_db.
 
-    All supported models are strictly increasing in distance, so this is
-    the unique crossing point, found by bisection on log10(distance).
-    Raises ThresholdUnreachable when even the minimum bracket distance
-    already exceeds the target.
+    Every model is PL(d) = a + b log10(d) with slope b > 0, so this is the
+    unique crossing point d = 10**((target - a) / b), in closed form.
+    Raises ThresholdUnreachable when the loss at 0.1 m (a - b) already
+    exceeds the target; answers beyond 1e6 m are capped at exactly 1e6 m.
     """
     target_pl_db = _require_finite("target_pl_db", target_pl_db)
-
-    lo = _SOLVE_D_MIN_M
-    if model.path_loss(lo) > target_pl_db:
+    a, b = model.intercept_db, model.slope_db_per_decade
+    pl_min = a + b * _SOLVE_LOG_D_MIN  # a - b
+    if pl_min - _SOLVE_ROUNDING_DB > target_pl_db:
         raise ThresholdUnreachable(
-            f"path loss at {lo} m already {model.path_loss(lo):.2f} dB, "
+            f"path loss at {_SOLVE_D_MIN_M} m already {pl_min:.2f} dB, "
             f"above the allowed {target_pl_db:.2f} dB"
         )
-
-    # Expand geometrically until the target is bracketed or the cap is hit.
-    hi = lo
-    while hi < _SOLVE_D_MAX_M and model.path_loss(hi) <= target_pl_db:
-        hi = min(hi * 10.0, _SOLVE_D_MAX_M)
-    if model.path_loss(hi) <= target_pl_db:
-        return hi
-
-    log_lo = math.log10(lo)
-    log_hi = math.log10(hi)
-    while log_hi - log_lo > _SOLVE_LOG_TOL:
-        log_mid = 0.5 * (log_lo + log_hi)
-        if model.path_loss(10.0**log_mid) <= target_pl_db:
-            log_lo = log_mid
-        else:
-            log_hi = log_mid
-    return 10.0**log_lo
+    log_d = (target_pl_db - a) / b
+    return 10.0 ** min(max(log_d, _SOLVE_LOG_D_MIN), _SOLVE_LOG_D_MAX)
 
 
 def allowed_path_loss_db(

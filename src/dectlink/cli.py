@@ -31,7 +31,7 @@ from .campaign import CampaignRecord, load_capture, max_reliable_distance, summa
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .fitting import fit_log_distance, fit_log_distance_iterative
 from .fixtures import load_pathloss_comparison
-from .propagation import MODEL_KINDS, evaluate_sweep
+from .propagation import GEOMETRY_KINDS, MODEL_KINDS, evaluate_sweep
 
 _CONFIG_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
 
@@ -373,9 +373,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         notes = []
         for kind, attr in _REPORT_MODEL_COLUMNS:
             published = getattr(row, attr)
-            needs_geometry = kind != "fspl"
             computed: float | None = None
-            if not needs_geometry or geometry is not None:
+            if kind not in GEOMETRY_KINDS or geometry is not None:
                 computed = cfg.model(kind).path_loss(row.distance_m)
             delta = (
                 computed - published if computed is not None and published is not None else None

@@ -15,6 +15,7 @@ from typing import Any, Mapping
 
 from .budget import LinkBudget, ReliabilityThresholds
 from .propagation import (
+    GEOMETRY_KINDS,
     AntennaGeometry,
     Frequency,
     HataEnvironment,
@@ -102,7 +103,7 @@ class RunConfig:
         configured.
         """
         geometry = self.geometry()
-        if kind in ("two-ray", "okumura-hata", "cost231-hata") and geometry is None:
+        if kind in GEOMETRY_KINDS and geometry is None:
             raise ValueError(
                 f"model {kind!r} needs antenna heights; set h_tx_m and h_rx_m"
             )

@@ -4,17 +4,22 @@ Two independent routes to the same log-distance answer: a closed-form
 linear least-squares fit (the model is linear in its parameters once
 distance is log-transformed) and a general damped Gauss-Newton engine for
 arbitrary nonlinear predictors. Keeping both lets each check the other.
+
+numpy is imported inside the functions that use it, so importing dectlink
+(and every CLI command but `fit`) does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-Predictor = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (params, distances) -> predicted path loss, all numpy float arrays.
+Predictor = Callable[[Any, Any], Any]
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,8 @@ class FitResult:
 
 
 def _validated_points(points: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     if len(points) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(points)}")
     d = np.asarray([p[0] for p in points], dtype=float)
@@ -71,6 +78,8 @@ def _validated_points(points: Sequence[tuple[float, float]]) -> tuple[np.ndarray
 
 def log_distance_curve(params: Sequence[float], d_m: np.ndarray, d0_m: float = 1.0) -> np.ndarray:
     """Vectorized log-distance predictor; params = (pl0_db, exponent)."""
+    import numpy as np
+
     pl0, n = params
     return pl0 + 10.0 * n * np.log10(np.asarray(d_m, dtype=float) / d0_m)
 
@@ -82,6 +91,8 @@ def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -
     Requires at least two distinct distances, otherwise the slope is
     undetermined.
     """
+    import numpy as np
+
     if not math.isfinite(d0_m) or d0_m <= 0.0:
         raise ValueError(f"d0_m must be positive, got {d0_m!r}")
     d, y = _validated_points(points)
@@ -108,6 +119,8 @@ def finite_difference_jacobian(
     predict: Predictor, params: np.ndarray, d_m: np.ndarray
 ) -> np.ndarray:
     """Central-difference Jacobian of predict w.r.t. params, shape (n_points, n_params)."""
+    import numpy as np
+
     params = np.asarray(params, dtype=float)
     jac = np.empty((d_m.size, params.size))
     for i in range(params.size):
@@ -139,6 +152,8 @@ def fit_general(
     factor shrinks tenfold on acceptance and grows tenfold on rejection.
     Stops when the relative cost improvement drops below cost_tol.
     """
+    import numpy as np
+
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     d, y = _validated_points(points)
@@ -206,6 +221,8 @@ def fit_log_distance_iterative(
     initial: Sequence[float] = (40.0, 2.0),
 ) -> FitResult:
     """Log-distance fit through the general engine; must agree with the closed form."""
+    import numpy as np
+
     if not math.isfinite(d0_m) or d0_m <= 0.0:
         raise ValueError(f"d0_m must be positive, got {d0_m!r}")
     d, _ = _validated_points(points)

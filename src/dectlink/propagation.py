@@ -10,8 +10,7 @@ have to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -248,13 +247,29 @@ def cost231_hata(
     )
 
 
-_GEOMETRY_KINDS = ("two-ray", "okumura-hata", "cost231-hata")
+GEOMETRY_KINDS = ("two-ray", "okumura-hata", "cost231-hata")
 _HATA_KINDS = ("okumura-hata", "cost231-hata")
+
+# kind -> (model, d_m) -> dB, through the textbook free functions above.
+_FREE_FUNCTIONS = {
+    "fspl": lambda m, d_m: fspl(d_m, m.frequency.hz),
+    "inh-los": lambda m, d_m: pl_inh_los(d_m, m.frequency.hz),
+    "inf-los": lambda m, d_m: pl_inf_los(d_m, m.frequency.hz),
+    "two-ray": lambda m, d_m: two_ray(d_m, m.geometry),
+    "okumura-hata": lambda m, d_m: okumura_hata(d_m, m.frequency.hz, m.geometry, m.environment),
+    "cost231-hata": lambda m, d_m: cost231_hata(d_m, m.frequency.hz, m.geometry, m.environment),
+}
 
 
 @dataclass(frozen=True)
 class PathLossModel:
     """One parameterized path-loss model, evaluable at any positive distance.
+
+    Every supported model is affine in log10(distance):
+    PL(d) = intercept_db + slope_db_per_decade * log10(d / 1 m). Both
+    coefficients are derived from the free functions at construction, and
+    construction fails unless the slope is positive, so PL strictly
+    increases with distance.
 
     Values are immutable after construction; evaluation is a pure function
     of (model, distance), safe for concurrent use.
@@ -264,28 +279,30 @@ class PathLossModel:
     frequency: Frequency
     geometry: AntennaGeometry | None = None
     environment: HataEnvironment | None = None
+    intercept_db: float = field(init=False, compare=False, repr=False)
+    slope_db_per_decade: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        if self.kind in _GEOMETRY_KINDS and self.geometry is None:
+        if self.kind in GEOMETRY_KINDS and self.geometry is None:
             raise ValueError(f"model {self.kind!r} requires antenna geometry (TX/RX heights)")
         if self.kind in _HATA_KINDS and self.environment is None:
             raise ValueError(f"model {self.kind!r} requires a Hata environment")
+        free = _FREE_FUNCTIONS[self.kind]
+        intercept = free(self, 1.0)
+        slope = free(self, 10.0) - intercept
+        if not slope > 0.0:
+            raise ValueError(
+                f"model {self.kind!r} must lose more with distance; got a slope of "
+                f"{slope!r} dB per decade"
+            )
+        object.__setattr__(self, "intercept_db", intercept)
+        object.__setattr__(self, "slope_db_per_decade", slope)
 
     def path_loss(self, d_m: float) -> float:
-        """Path loss in dB at distance d_m (meters)."""
-        if self.kind == "fspl":
-            return fspl(d_m, self.frequency.hz)
-        if self.kind == "inh-los":
-            return pl_inh_los(d_m, self.frequency.hz)
-        if self.kind == "inf-los":
-            return pl_inf_los(d_m, self.frequency.hz)
-        if self.kind == "two-ray":
-            return two_ray(d_m, self.geometry)
-        if self.kind == "okumura-hata":
-            return okumura_hata(d_m, self.frequency.hz, self.geometry, self.environment)
-        return cost231_hata(d_m, self.frequency.hz, self.geometry, self.environment)
+        """Path loss in dB at distance d_m (meters), from the model's free function."""
+        return _FREE_FUNCTIONS[self.kind](self, d_m)
 
     def flags(self, d_m: float) -> tuple[ValidityFlag, ...]:
         """Out-of-domain notes for evaluating this model at d_m; empty if none."""
@@ -342,7 +359,9 @@ def evaluate_sweep(
 ) -> list[tuple[float, float]]:
     """Evaluate a model over a distance grid; returns (distance_m, pl_db) pairs.
 
-    spacing is "linear" or "log"; endpoints are hit exactly.
+    spacing is "linear" or "log"; endpoints are hit exactly. Losses come
+    from the model's log-affine coefficients, so each agrees with
+    model.path_loss(d) to rounding (well under 1e-9 dB).
     """
     d_start_m = _require_positive("d_start", d_start_m)
     d_end_m = _require_positive("d_end", d_end_m)
@@ -367,9 +386,5 @@ def evaluate_sweep(
                 + (math.log10(d_end_m) - math.log10(d_start_m)) * i / (points - 1)
             )
         distances.append(d)
-    return [(d, model.path_loss(d)) for d in distances]
-
-
-def sweep_distances(pairs: Iterable[tuple[float, float]]) -> list[float]:
-    """Distance column of an evaluate_sweep result."""
-    return [d for d, _ in pairs]
+    a, b = model.intercept_db, model.slope_db_per_decade
+    return [(d, a + b * math.log10(d)) for d in distances]

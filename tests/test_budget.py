@@ -190,6 +190,17 @@ class TestDistanceSolver:
         with pytest.raises(ThresholdUnreachable):
             max_link_distance(budget, FSPL_MODEL, THRESHOLDS, "outdoor", "rssi")
 
+    def test_unreachable_below_the_loss_at_a_tenth_of_a_meter(self):
+        pl_min = FSPL_MODEL.path_loss(0.1)
+        assert distance_for_path_loss(FSPL_MODEL, pl_min) == pytest.approx(0.1, rel=1e-12)
+        with pytest.raises(ThresholdUnreachable, match=r"path loss at 0\.1 m already"):
+            distance_for_path_loss(FSPL_MODEL, pl_min - 1e-6)
+
+    def test_answers_beyond_the_range_are_capped_exactly(self):
+        budget = LinkBudget(p_tx_dbm=200.0)
+        assert max_link_distance(budget, FSPL_MODEL, THRESHOLDS, "outdoor") == 1e6
+        assert distance_for_path_loss(FSPL_MODEL, 1e300) == 1e6
+
     def test_invalid_criterion_and_environment(self):
         with pytest.raises(ValueError):
             max_link_distance(LinkBudget(), FSPL_MODEL, THRESHOLDS, "outdoor", "ber")

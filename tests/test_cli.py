@@ -3,9 +3,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dectlink
 from dectlink.cli import main
 from dectlink.config import CONFIG_ENV_VAR
 
@@ -315,3 +320,20 @@ class TestReport:
         assert code == 0
         assert "INCONSISTENT" in out
         assert "Hallila Power Line" in out
+
+
+def test_import_and_plan_leave_numpy_unloaded():
+    """Only fitting needs numpy, so importing dectlink and planning must not load it."""
+    script = (
+        "import sys\n"
+        "import dectlink, dectlink.cli\n"
+        "rc = dectlink.cli.main(['plan', '--environment', 'indoor', '--models', 'fspl'])\n"
+        "print('exit', rc, 'numpy', 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(dectlink.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", CONFIG_ENV_VAR)}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0 numpy False"

@@ -188,6 +188,33 @@ class TestPathLossModel:
         with pytest.raises(ValueError):
             PathLossModel("log-normal", Frequency(1e9))
 
+    @pytest.mark.parametrize(
+        "kind, slope",
+        [
+            ("fspl", 20.0),
+            ("inh-los", 17.3),
+            ("inf-los", 21.5),
+            ("two-ray", 40.0),
+            ("okumura-hata", 44.9 - 6.55),
+            ("cost231-hata", 44.9 - 6.55),
+        ],
+    )
+    def test_log_affine_coefficients(self, kind, slope):
+        model = PathLossModel(kind, Frequency(F_CAMPAIGN), GEO, URBAN)
+        assert model.intercept_db == model.path_loss(1.0)
+        assert model.slope_db_per_decade == pytest.approx(slope, abs=1e-12)
+        # derived values stay out of equality, hashing and repr
+        assert "intercept" not in repr(model) and "slope" not in repr(model)
+        twin = PathLossModel(kind, Frequency(F_CAMPAIGN), GEO, URBAN)
+        assert twin == model and hash(twin) == hash(model)
+
+    @pytest.mark.parametrize("kind", ["okumura-hata", "cost231-hata"])
+    def test_hata_slope_must_stay_positive(self, kind):
+        # 44.9 - 6.55 log10(h_tx) reaches zero near h_tx = 7.2e6 m
+        PathLossModel(kind, Frequency(900e6), AntennaGeometry(7e6, 1.5), URBAN)
+        with pytest.raises(ValueError, match="slope"):
+            PathLossModel(kind, Frequency(900e6), AntennaGeometry(7.5e6, 1.5), URBAN)
+
     def test_geometry_required_for_two_ray_and_hata(self):
         for kind in ("two-ray", "okumura-hata", "cost231-hata"):
             with pytest.raises(ValueError):
