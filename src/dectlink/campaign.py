@@ -5,19 +5,29 @@ the control-channel (PCC) and data-channel (PDC) RSSI, SNR, and CRC flags,
 plus a sidecar of location metadata. Summaries average received power in
 the linear domain (never raw dB) and judge reliability from CRC success
 rates against a strict threshold.
+
+Captures are read by the package's one table reader (`dectlink.tabular`):
+a line whose first non-blank character is '#' is a comment, wherever it
+sits and whatever it holds, commas included. A `LocationCapture` keeps its
+rows column by column (`CaptureColumns`) and checks and summarises whole
+columns; the per-row `MeasurementSample` view is built only when
+`samples` is read. RSSI values above 10 dBm are taken for logging glitches
+and raise one warning per capture, giving their count and the first seq.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
+from .tabular import float_column, int_column, read_table
 
 CAPTURE_HEADER = ("seq", "pcc_rssi_dbm", "pdc_rssi_dbm", "snr_db", "pcc_crc_ok", "pdc_crc_ok")
 
@@ -37,10 +47,10 @@ def mean_power_db(values_db: Sequence[float]) -> float:
     """
     if len(values_db) == 0:
         raise ValueError("mean_power_db needs at least one value")
-    for v in values_db:
-        if not math.isfinite(v):
-            raise ValueError(f"mean_power_db got a non-finite value: {v!r}")
-    linear = math.fsum(10.0 ** (v / 10.0) for v in values_db)
+    if not all(map(math.isfinite, values_db)):
+        bad = next(v for v in values_db if not math.isfinite(v))
+        raise ValueError(f"mean_power_db got a non-finite value: {bad!r}")
+    linear = math.fsum([10.0 ** (v / 10.0) for v in values_db])
     return 10.0 * math.log10(linear / len(values_db))
 
 
@@ -50,7 +60,7 @@ def sample_std_db(values_db: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     mean = math.fsum(values_db) / n
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values_db) / (n - 1))
+    return math.sqrt(math.fsum([(v - mean) ** 2 for v in values_db]) / (n - 1))
 
 
 @dataclass(frozen=True)
@@ -65,13 +75,36 @@ class MeasurementSample:
     pdc_crc_ok: bool
 
 
-@dataclass(frozen=True)
+class CaptureColumns(NamedTuple):
+    """A capture's rows column by column; entry i of every column belongs to row i."""
+
+    seq: tuple[int, ...]
+    pcc_rssi_dbm: tuple[float | None, ...]
+    pdc_rssi_dbm: tuple[float | None, ...]
+    snr_db: tuple[float | None, ...]
+    pcc_crc_ok: tuple[bool, ...]
+    pdc_crc_ok: tuple[bool, ...]
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[MeasurementSample]) -> CaptureColumns:
+        return cls(*(tuple(getattr(s, name) for s in samples) for name in cls._fields))
+
+    def to_samples(self) -> tuple[MeasurementSample, ...]:
+        return tuple(map(MeasurementSample, *self))
+
+
+@dataclass(frozen=True, init=False)
 class LocationCapture:
-    """A full capture at one location: samples plus sidecar metadata.
+    """A full capture at one location: rows plus sidecar metadata.
 
     request_count is the number of requests sent, which may exceed the
     number of logged rows when lost requests produce no row at all; success
     rates always use request_count as the denominator.
+
+    The rows are given either as `samples` or, without building one object
+    per row, as `columns`; they are stored as columns, and `samples` is a
+    per-row view built on first use. Equality and hashing follow the
+    metadata and the row values.
     """
 
     location_id: str
@@ -79,9 +112,33 @@ class LocationCapture:
     environment: str
     p_tx_dbm: float
     request_count: int
-    samples: tuple[MeasurementSample, ...]
+    columns: CaptureColumns
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        location_id: str,
+        distance_m: float,
+        environment: str,
+        p_tx_dbm: float,
+        request_count: int,
+        samples: Iterable[MeasurementSample] = (),
+        *,
+        columns: CaptureColumns | None = None,
+    ) -> None:
+        if columns is None:
+            samples = tuple(samples)
+            columns = CaptureColumns.from_samples(samples)
+            self.__dict__["samples"] = samples
+        elif samples:
+            raise TypeError("give samples or columns, not both")
+        set_field = object.__setattr__
+        set_field(self, "location_id", location_id)
+        set_field(self, "distance_m", distance_m)
+        set_field(self, "environment", environment)
+        set_field(self, "p_tx_dbm", p_tx_dbm)
+        set_field(self, "request_count", request_count)
+        set_field(self, "columns", columns)
+
         if not self.location_id:
             raise ValueError("location_id must be non-empty")
         if not math.isfinite(self.distance_m) or self.distance_m <= 0.0:
@@ -95,21 +152,32 @@ class LocationCapture:
             raise ValueError(f"p_tx_dbm must be finite, got {self.p_tx_dbm!r}")
         if self.request_count <= 0:
             raise ValueError(f"request_count must be positive, got {self.request_count!r}")
-        pcc_ok = sum(1 for s in self.samples if s.pcc_crc_ok)
-        pdc_ok = sum(1 for s in self.samples if s.pdc_crc_ok)
-        if max(pcc_ok, pdc_ok) > self.request_count:
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("capture columns must all have the same length")
+        crc_ok = max(sum(columns.pcc_crc_ok), sum(columns.pdc_crc_ok))
+        if crc_ok > self.request_count:
             raise ValueError(
                 f"request_count {self.request_count} is below the number of "
-                f"CRC-ok rows ({max(pcc_ok, pdc_ok)})"
+                f"CRC-ok rows ({crc_ok})"
             )
-        for s in self.samples:
-            for rssi in (s.pcc_rssi_dbm, s.pdc_rssi_dbm):
-                if rssi is not None and rssi > _SUSPICIOUS_RSSI_DBM:
-                    warnings.warn(
-                        f"sample seq={s.seq} reports RSSI {rssi:.1f} dBm, above "
-                        f"{_SUSPICIOUS_RSSI_DBM:.0f} dBm; check the capture",
-                        stacklevel=2,
-                    )
+        rssi_columns = (columns.pcc_rssi_dbm, columns.pdc_rssi_dbm)
+        # filter(None, ...) drops None, and 0.0, which is not hot either.
+        hottest = max(max(filter(None, col), default=-math.inf) for col in rssi_columns)
+        if hottest > _SUSPICIOUS_RSSI_DBM:
+            hot_rows = [
+                i for col in rssi_columns for i, v in enumerate(col)
+                if v is not None and v > _SUSPICIOUS_RSSI_DBM
+            ]
+            warnings.warn(
+                f"{len(hot_rows)} RSSI value(s) above {_SUSPICIOUS_RSSI_DBM:.0f} dBm, the "
+                f"first at seq={columns.seq[min(hot_rows)]}; check the capture",
+                stacklevel=2,
+            )
+
+    @cached_property
+    def samples(self) -> tuple[MeasurementSample, ...]:
+        """The rows as one MeasurementSample each, built on first use."""
+        return self.columns.to_samples()
 
     @property
     def propagation(self) -> str:
@@ -122,14 +190,12 @@ class LocationCapture:
 
 def success_rate_pcc(capture: LocationCapture) -> float:
     """Control-channel CRC success rate in percent, over all requests sent."""
-    ok = sum(1 for s in capture.samples if s.pcc_crc_ok)
-    return 100.0 * ok / capture.request_count
+    return 100.0 * sum(capture.columns.pcc_crc_ok) / capture.request_count
 
 
 def success_rate_pdc(capture: LocationCapture) -> float:
     """Data-channel CRC success rate in percent, over all requests sent."""
-    ok = sum(1 for s in capture.samples if s.pdc_crc_ok)
-    return 100.0 * ok / capture.request_count
+    return 100.0 * sum(capture.columns.pdc_crc_ok) / capture.request_count
 
 
 @dataclass(frozen=True)
@@ -171,9 +237,10 @@ def summarize(
     so captures at different power settings summarize correctly against one
     shared correction budget.
     """
-    pcc_rssi = [s.pcc_rssi_dbm for s in capture.samples if s.pcc_rssi_dbm is not None]
-    pdc_rssi = [s.pdc_rssi_dbm for s in capture.samples if s.pdc_rssi_dbm is not None]
-    snr = [s.snr_db for s in capture.samples if s.snr_db is not None]
+    columns = capture.columns
+    pcc_rssi = [v for v in columns.pcc_rssi_dbm if v is not None]
+    pdc_rssi = [v for v in columns.pdc_rssi_dbm if v is not None]
+    snr = [v for v in columns.snr_db if v is not None]
 
     mean_pcc = mean_power_db(pcc_rssi) if pcc_rssi else None
     mean_pdc = mean_power_db(pdc_rssi) if pdc_rssi else None
@@ -229,92 +296,56 @@ def max_reliable_distance(
     return best
 
 
-def _parse_optional_float(text: str, line_no: int, column: str) -> float | None:
-    if text == "":
-        return None
+_FLAGS = {"0": False, "1": True}
+
+
+def _flag_column(cells: list[str], numbers: list[int], name: str) -> tuple[bool, ...]:
     try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"line {line_no}: column {column!r} is not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"line {line_no}: column {column!r} must be finite, got {text!r}")
-    return value
+        return tuple(map(_FLAGS.__getitem__, cells))
+    except KeyError:
+        line_no, cell = next((n, c) for n, c in zip(numbers, cells) if c not in _FLAGS)
+        raise ValueError(f"line {line_no}: column {name!r} must be 0 or 1, got {cell!r}") from None
 
 
-def _parse_flag(text: str, line_no: int, column: str) -> bool:
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise ValueError(f"line {line_no}: column {column!r} must be 0 or 1, got {text!r}")
+def _read_capture_columns(path: str | Path) -> CaptureColumns:
+    numbers, cells = read_table(path, CAPTURE_HEADER)
+    seq = int_column(cells[0], numbers, "seq")
+    if seq and min(seq) < 0:
+        line_no, bad = next((n, s) for n, s in zip(numbers, seq) if s < 0)
+        raise ValueError(f"line {line_no}: column 'seq' must be >= 0, got {bad}")
+    if len(set(seq)) != len(seq):
+        seen: set[int] = set()
+        for line_no, s in zip(numbers, seq):
+            if s in seen:
+                raise ValueError(f"line {line_no}: duplicate seq {s}")
+            seen.add(s)
+    rssi_snr = [
+        float_column(cells[i], numbers, CAPTURE_HEADER[i], optional=True) for i in (1, 2, 3)
+    ]
+    flags = [_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)]
+    for channel, ok, rssi in zip(("pcc", "pdc"), flags, rssi_snr):
+        if None in compress(rssi, ok):
+            line_no = next(n for n, o, r in zip(numbers, ok, rssi) if o and r is None)
+            raise ValueError(f"line {line_no}: {channel}_crc_ok=1 but {channel}_rssi_dbm is empty")
+    return CaptureColumns(tuple(seq), *map(tuple, rssi_snr), *flags)
 
 
 def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
     """Parse a capture CSV into samples; raises ValueError with line numbers.
 
     Expected header: seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok.
-    Leading '#' comment lines are skipped. Empty RSSI cells mean nothing was
-    received on that channel, which is only consistent with a 0 CRC flag.
+    Lines whose first non-blank character is '#', and empty lines, are
+    skipped. Empty RSSI cells mean nothing was received on that channel,
+    which is only consistent with a 0 CRC flag.
+
+    Each check runs over a whole column, in the order: cell count, seq
+    (integer, >= 0, unique), the RSSI and SNR numbers, the two CRC flags,
+    then CRC against RSSI. A file with one faulty row gets the message a
+    row-by-row scan would give; with faults in several rows, the message
+    names the first row failing the earliest check, which need not be the
+    first faulty row.
     """
-    path = Path(path)
-    samples: list[MeasurementSample] = []
-    seen_seq: set[int] = set()
-    with path.open(newline="") as fh:
-        header_seen = False
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#") and len(row) == 1):
-                continue
-            if not header_seen:
-                if tuple(cell.strip() for cell in row) != CAPTURE_HEADER:
-                    raise ValueError(
-                        f"line {line_no}: bad header {row!r}; expected "
-                        f"{','.join(CAPTURE_HEADER)}"
-                    )
-                header_seen = True
-                continue
-            if len(row) != len(CAPTURE_HEADER):
-                raise ValueError(
-                    f"line {line_no}: expected {len(CAPTURE_HEADER)} columns, got {len(row)}"
-                )
-            cells = [cell.strip() for cell in row]
-            try:
-                seq = int(cells[0])
-            except ValueError:
-                raise ValueError(f"line {line_no}: column 'seq' is not an integer: {cells[0]!r}") from None
-            if seq < 0:
-                raise ValueError(f"line {line_no}: column 'seq' must be >= 0, got {seq}")
-            if seq in seen_seq:
-                raise ValueError(f"line {line_no}: duplicate seq {seq}")
-            seen_seq.add(seq)
-
-            pcc_rssi = _parse_optional_float(cells[1], line_no, "pcc_rssi_dbm")
-            pdc_rssi = _parse_optional_float(cells[2], line_no, "pdc_rssi_dbm")
-            snr = _parse_optional_float(cells[3], line_no, "snr_db")
-            pcc_ok = _parse_flag(cells[4], line_no, "pcc_crc_ok")
-            pdc_ok = _parse_flag(cells[5], line_no, "pdc_crc_ok")
-
-            if pcc_ok and pcc_rssi is None:
-                raise ValueError(
-                    f"line {line_no}: pcc_crc_ok=1 but pcc_rssi_dbm is empty"
-                )
-            if pdc_ok and pdc_rssi is None:
-                raise ValueError(
-                    f"line {line_no}: pdc_crc_ok=1 but pdc_rssi_dbm is empty"
-                )
-            samples.append(
-                MeasurementSample(
-                    seq=seq,
-                    pcc_rssi_dbm=pcc_rssi,
-                    pdc_rssi_dbm=pdc_rssi,
-                    snr_db=snr,
-                    pcc_crc_ok=pcc_ok,
-                    pdc_crc_ok=pdc_ok,
-                )
-            )
-    if not header_seen:
-        raise ValueError(f"{path}: no header row found")
-    return tuple(samples)
+    return _read_capture_columns(path).to_samples()
 
 
 def read_capture_meta(path: str | Path) -> dict[str, str]:
@@ -350,7 +381,7 @@ def load_capture(csv_path: str | Path, meta_path: str | Path | None = None) -> L
     if meta_path is None:
         meta_path = csv_path.with_suffix(".meta")
     meta = read_capture_meta(meta_path)
-    samples = read_capture_csv(csv_path)
+    columns = _read_capture_columns(csv_path)
     try:
         distance_m = float(meta["distance_m"])
         p_tx_dbm = float(meta["p_tx_dbm"])
@@ -363,5 +394,5 @@ def load_capture(csv_path: str | Path, meta_path: str | Path | None = None) -> L
         environment=meta["environment"],
         p_tx_dbm=p_tx_dbm,
         request_count=request_count,
-        samples=samples,
+        columns=columns,
     )

@@ -32,6 +32,7 @@ from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .fitting import fit_log_distance, fit_log_distance_iterative
 from .fixtures import load_pathloss_comparison
 from .propagation import GEOMETRY_KINDS, MODEL_KINDS, evaluate_sweep
+from .tabular import float_column, read_table
 
 _CONFIG_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
 
@@ -240,30 +241,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _read_points_csv(path: str) -> list[tuple[float, float]]:
     """Read (distance_m, pl_db) fit input; '#' comment lines are skipped."""
-    points: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        header_seen = False
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and row[0].startswith("#")):
-                continue
-            cells = [c.strip() for c in row]
-            if not header_seen:
-                if cells != ["distance_m", "pl_db"]:
-                    raise ValueError(
-                        f"{path} line {line_no}: expected header distance_m,pl_db, got {row!r}"
-                    )
-                header_seen = True
-                continue
-            if len(cells) != 2:
-                raise ValueError(f"{path} line {line_no}: expected 2 columns, got {len(cells)}")
-            try:
-                d, pl = float(cells[0]), float(cells[1])
-            except ValueError:
-                raise ValueError(f"{path} line {line_no}: non-numeric row {row!r}") from None
-            points.append((d, pl))
-    if not header_seen:
-        raise ValueError(f"{path}: no header row found")
-    return points
+    numbers, (distances, losses) = read_table(path, ("distance_m", "pl_db"))
+    return list(
+        zip(float_column(distances, numbers, "distance_m"), float_column(losses, numbers, "pl_db"))
+    )
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

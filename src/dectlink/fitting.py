@@ -5,8 +5,9 @@ linear least-squares fit (the model is linear in its parameters once
 distance is log-transformed) and a general damped Gauss-Newton engine for
 arbitrary nonlinear predictors. Keeping both lets each check the other.
 
-numpy is imported inside the functions that use it, so importing dectlink
-(and every CLI command but `fit`) does not pay for it.
+The closed form is plain Python. numpy is imported inside the functions of
+the iterative route that use it, so importing dectlink, the closed-form fit
+and every CLI command but `fit --engine iterative` never load it.
 """
 
 from __future__ import annotations
@@ -62,17 +63,20 @@ class FitResult:
     cost_history: tuple[float, ...] = field(default=())
 
 
-def _validated_points(points: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
+def _validated_points(
+    points: Sequence[tuple[float, float]], distinct: bool = False
+) -> tuple[list[float], list[float]]:
+    """(distances, path losses) as floats; with distinct, at least two distances must differ."""
     if len(points) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(points)}")
-    d = np.asarray([p[0] for p in points], dtype=float)
-    y = np.asarray([p[1] for p in points], dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+    d = [float(p[0]) for p in points]
+    y = [float(p[1]) for p in points]
+    if not all(math.isfinite(v) and v > 0.0 for v in d):
         raise ValueError("all distances must be positive and finite")
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise ValueError("all path-loss values must be finite")
+    if distinct and len(set(d)) < 2:
+        raise ValueError("need at least 2 distinct distances to determine the exponent")
     return d, y
 
 
@@ -87,28 +91,30 @@ def log_distance_curve(params: Sequence[float], d_m: np.ndarray, d0_m: float = 1
 def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -> FitResult:
     """Closed-form least-squares fit of (distance_m, pl_db) points.
 
-    Solves the linear system directly; no iteration, no starting guess.
-    Requires at least two distinct distances, otherwise the slope is
-    undetermined.
+    Solves the linear problem directly from centred sums, in plain Python:
+    no iteration, no starting guess, no numpy. Requires at least two
+    distinct distances, otherwise the slope is undetermined.
     """
-    import numpy as np
-
     if not math.isfinite(d0_m) or d0_m <= 0.0:
         raise ValueError(f"d0_m must be positive, got {d0_m!r}")
-    d, y = _validated_points(points)
-    if np.unique(d).size < 2:
-        raise ValueError("need at least 2 distinct distances to determine the exponent")
+    d, y = _validated_points(points, distinct=True)
 
-    design = np.column_stack([np.ones_like(d), 10.0 * np.log10(d / d0_m)])
-    coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    pl0, exponent = float(coeffs[0]), float(coeffs[1])
+    x = [10.0 * math.log10(v / d0_m) for v in d]
+    n = len(x)
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    dx = [v - x_mean for v in x]
+    exponent = math.fsum([a * (b - y_mean) for a, b in zip(dx, y)]) / math.fsum(
+        [a * a for a in dx]
+    )
+    pl0 = y_mean - exponent * x_mean
 
-    residuals = y - design @ coeffs
-    rmse = float(np.sqrt(np.mean(residuals**2)))
+    residuals = [b - (pl0 + exponent * a) for a, b in zip(x, y)]
+    rmse = math.sqrt(math.fsum([r * r for r in residuals]) / n)
     return FitResult(
         params=(pl0, exponent),
         rmse_db=rmse,
-        residuals_db=tuple(float(r) for r in residuals),
+        residuals_db=tuple(residuals),
         iterations=0,
         converged=True,
         model=LogDistanceModel(pl0, exponent, d0_m),
@@ -156,7 +162,7 @@ def fit_general(
 
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    d, y = _validated_points(points)
+    d, y = (np.asarray(v) for v in _validated_points(points))
     theta = np.asarray(initial, dtype=float).copy()
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("initial must be a non-empty 1-D parameter vector")
@@ -221,13 +227,9 @@ def fit_log_distance_iterative(
     initial: Sequence[float] = (40.0, 2.0),
 ) -> FitResult:
     """Log-distance fit through the general engine; must agree with the closed form."""
-    import numpy as np
-
     if not math.isfinite(d0_m) or d0_m <= 0.0:
         raise ValueError(f"d0_m must be positive, got {d0_m!r}")
-    d, _ = _validated_points(points)
-    if np.unique(d).size < 2:
-        raise ValueError("need at least 2 distinct distances to determine the exponent")
+    _validated_points(points, distinct=True)
 
     result = fit_general(
         lambda params, dist: log_distance_curve(params, dist, d0_m), initial, points

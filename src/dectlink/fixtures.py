@@ -10,11 +10,12 @@ trust.
 
 from __future__ import annotations
 
-import csv
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
+
+from .tabular import float_column, read_table
 
 FIXTURE_FILES = (
     "indoor_locations.csv",
@@ -29,12 +30,6 @@ def fixture_path(name: str) -> Path:
     if name not in FIXTURE_FILES:
         raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_FILES}")
     return Path(str(resources.files("dectlink").joinpath("data", name)))
-
-
-def _rows(name: str) -> list[dict[str, str]]:
-    with fixture_path(name).open(newline="", encoding="utf-8") as fh:
-        filtered = (line for line in fh if not line.startswith("#"))
-        return list(csv.DictReader(filtered))
 
 
 @dataclass(frozen=True)
@@ -69,20 +64,24 @@ class PathLossComparisonRow:
     cost231_db: float | None
 
 
+_LOCATION_HEADER = ("site", "propagation", "surroundings", "distance_m", "p_tx_dbm")
+
+
 def _locations(name: str, setting: str) -> tuple[ReferenceLocation, ...]:
-    out = []
-    for row in _rows(name):
-        out.append(
-            ReferenceLocation(
-                site=row["site"],
-                setting=setting,
-                propagation=row["propagation"],
-                surroundings=row["surroundings"],
-                distance_m=float(row["distance_m"]),
-                p_tx_dbm=float(row["p_tx_dbm"]),
-            )
+    numbers, (site, propagation, surroundings, distance, p_tx) = read_table(
+        fixture_path(name), _LOCATION_HEADER
+    )
+    return tuple(
+        map(
+            ReferenceLocation,
+            site,
+            repeat(setting),
+            propagation,
+            surroundings,
+            float_column(distance, numbers, "distance_m"),
+            float_column(p_tx, numbers, "p_tx_dbm"),
         )
-    return tuple(out)
+    )
 
 
 def load_indoor_locations() -> tuple[ReferenceLocation, ...]:
@@ -97,29 +96,21 @@ def load_outdoor_locations() -> tuple[ReferenceLocation, ...]:
 
 def load_pathloss_comparison() -> tuple[PathLossComparisonRow, ...]:
     """The published long-range path-loss comparison, verbatim."""
-    out = []
-    for row in _rows("pathloss_comparison.csv"):
-
-        def opt(key: str) -> float | None:
-            return float(row[key]) if row[key] != "" else None
-
-        parsed = PathLossComparisonRow(
-            scenario=row["scenario"],
-            distance_m=float(row["distance_m"]),
-            height_diff_m=float(row["height_diff_m"]),
-            emp_pcc_db=float(row["emp_pcc_db"]),
-            emp_pdc_db=float(row["emp_pdc_db"]),
-            fspl_db=opt("fspl_db"),
-            two_ray_db=opt("two_ray_db"),
-            okumura_hata_db=opt("okumura_hata_db"),
-            cost231_db=opt("cost231_db"),
-        )
-        if not math.isfinite(parsed.distance_m) or parsed.distance_m <= 0:
-            raise ValueError(f"fixture row {parsed.scenario!r} has bad distance")
-        out.append(parsed)
-    return tuple(out)
+    header = tuple(f.name for f in fields(PathLossComparisonRow))
+    numbers, (scenario, *cells) = read_table(fixture_path("pathloss_comparison.csv"), header)
+    # The four model columns, after the two empirical ones, may be unreported.
+    values = [
+        float_column(column, numbers, name, optional=i >= 4)
+        for i, (name, column) in enumerate(zip(header[1:], cells))
+    ]
+    rows = tuple(map(PathLossComparisonRow, scenario, *values))
+    for row in rows:
+        if row.distance_m <= 0:
+            raise ValueError(f"fixture row {row.scenario!r} has bad distance")
+    return rows
 
 
 def load_system_parameters() -> dict[str, str]:
     """Campaign radio configuration as raw strings keyed by parameter name."""
-    return {row["key"]: row["value"] for row in _rows("system_parameters.csv")}
+    _, (keys, values) = read_table(fixture_path("system_parameters.csv"), ("key", "value"))
+    return dict(zip(keys, values))

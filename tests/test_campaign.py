@@ -1,7 +1,9 @@
 """Capture parsing, linear-domain statistics, and per-location summaries."""
 
+import dataclasses
 import math
 import random
+import warnings
 
 import pytest
 
@@ -154,6 +156,19 @@ class TestCaptureValidation:
     def test_hot_rssi_warns(self):
         with pytest.warns(UserWarning):
             make_capture([make_sample(pcc=12.5)])
+
+    def test_hot_rssi_gives_one_warning_per_capture(self):
+        samples = [make_sample(seq=i) for i in range(10)]
+        samples[4] = make_sample(seq=4, pcc=14.0)
+        samples[7] = make_sample(seq=7, pcc=20.0, pdc=19.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            make_capture(samples)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, UserWarning)
+        text = str(caught[0].message)
+        assert text.startswith("3 RSSI value(s) above 10 dBm")
+        assert "seq=4" in text
 
     def test_setting_and_propagation_split(self):
         cap = make_capture([make_sample()], environment="nlos-outdoor")
@@ -310,6 +325,36 @@ class TestCaptureCsv:
             "0,-80,-80.5,10,1,1\n"
         )
         assert len(read_capture_csv(p)) == 1
+
+    def test_comment_holding_a_comma_is_skipped(self, capture_factory):
+        path = capture_factory("commas", n=20)
+        path.write_text("# site a, run 2\n" + path.read_text())
+        capture = load_capture(path)
+        assert len(capture.samples) == 20
+
+    def test_comment_between_rows_keeps_line_numbers(self, tmp_path):
+        p = tmp_path / "mid.csv"
+        p.write_text(
+            "seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok\n"
+            "0,-80,-80,10,1,1\n"
+            "  # antenna moved, run 2\n"
+            "\n"
+            "1,-81,-81,9,1,1\n"
+            "2,,-81,9,1,0\n"
+        )
+        with pytest.raises(ValueError, match="^line 6: pcc_crc_ok=1"):
+            read_capture_csv(p)
+        p.write_text(p.read_text().replace("2,,-81,9,1,0", "2,-82,-82,8,0,0"))
+        assert [s.seq for s in read_capture_csv(p)] == [0, 1, 2]
+
+    def test_loaded_capture_equals_one_built_from_its_samples(self, capture_factory):
+        loaded = load_capture(capture_factory("eq", seed=3, n=40))
+        rebuilt = make_capture(loaded.samples, request_count=loaded.request_count,
+                               location_id="eq")
+        assert loaded == rebuilt and hash(loaded) == hash(rebuilt)
+        assert loaded != make_capture(loaded.samples[1:], request_count=40, location_id="eq")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.request_count = 1
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -223,6 +223,13 @@ class TestFit:
         assert "engine: iterative" in out
         assert "exponent: 2.7000" in out
 
+    def test_comment_holding_a_comma_is_skipped(self, capsys, tmp_path):
+        p = self._write_points(tmp_path)
+        p.write_text("# a, b\n" + p.read_text())
+        code, out, err = run_cli(capsys, "fit", "--input", str(p))
+        assert code == 0, err
+        assert "points: 20" in out
+
     def test_bad_header_is_usage_error(self, capsys, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("d,pl\n10,60\n")
@@ -328,6 +335,29 @@ def test_import_and_plan_leave_numpy_unloaded():
         "import sys\n"
         "import dectlink, dectlink.cli\n"
         "rc = dectlink.cli.main(['plan', '--environment', 'indoor', '--models', 'fspl'])\n"
+        "print('exit', rc, 'numpy', 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(dectlink.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", CONFIG_ENV_VAR)}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0 numpy False"
+
+
+def test_capture_analysis_and_closed_form_fit_leave_numpy_unloaded(tmp_path):
+    """Loading, summarising and the closed-form fit, in the library and the CLI, need no numpy."""
+    capture = write_capture(tmp_path, "site", synth_capture_rows(5, n=50))
+    points = tmp_path / "points.csv"
+    points.write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
+    script = (
+        "import sys\n"
+        "from dectlink import LinkBudget, fit_log_distance, load_capture, summarize\n"
+        "from dectlink.cli import main\n"
+        f"record = summarize(load_capture({str(capture)!r}), LinkBudget())\n"
+        "fit_log_distance([(10.0, 60.0), (record.distance_m, record.empirical_pl_pcc_db)])\n"
+        f"rc = main(['fit', '--input', {str(points)!r}])\n"
         "print('exit', rc, 'numpy', 'numpy' in sys.modules)\n"
     )
     src = str(Path(dectlink.__file__).resolve().parent.parent)

@@ -1,10 +1,12 @@
-"""Property tests of the log-affine model core over random valid models."""
+"""Property tests: the log-affine model core over random valid models, and
+capture ingestion over random, oddly formatted capture files."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dectlink.budget import distance_for_path_loss
+from dectlink.campaign import CAPTURE_HEADER, MeasurementSample, load_capture
 from dectlink.propagation import (
     AREA_CLASSES,
     CITY_SIZES,
@@ -64,3 +66,112 @@ def test_path_loss_strictly_increases(model, d_m, ratio):
 def test_sweep_matches_scalar_path_loss(model, start_m, span, points, spacing):
     for d_m, pl_db in evaluate_sweep(model, start_m, start_m * span, points, spacing):
         assert pl_db == pytest.approx(model.path_loss(d_m), abs=1e-9)
+
+
+# ------------------------------------------------------------------ captures
+
+RSSI_DBM = st.floats(-150.0, 10.0)
+SNR_DB = st.floats(-20.0, 40.0)
+# Lines the reader must skip: comments (which may hold commas and quotes,
+# and may be indented) and empty or blank lines.
+SKIPPED_LINES = st.one_of(
+    st.builds(lambda pad, text: f"{pad}#{text}", st.sampled_from(("", " ", "\t")),
+              st.text(st.sampled_from('ab ,;"#'), max_size=12)),
+    st.sampled_from(("", "  ", "\t")),
+)
+# (left pad, right pad, quoted) of one cell; padding sits inside the quotes.
+CELL_STYLES = st.sampled_from(
+    [(left, right, quoted) for left in ("", " ", "\t ") for right in ("", " ")
+     for quoted in (False, True)]
+)
+# Each example writes a file; fewer examples keep the suite quick.
+CAPTURE_PROPERTY = settings(PROPERTY, max_examples=100)
+
+
+@st.composite
+def capture_rows(draw, min_rows=0):
+    """Rows as (seq, pcc, pdc, snr, pcc_ok, pdc_ok); a lost request has no RSSI/SNR and 0 flags."""
+    seqs = draw(st.lists(st.integers(0, 10**6), min_size=min_rows, max_size=12, unique=True))
+    rows = []
+    for seq in seqs:
+        if draw(st.integers(0, 3)) == 0:
+            rows.append((seq, None, None, None, False, False))
+        else:
+            rows.append((seq, draw(RSSI_DBM), draw(RSSI_DBM), draw(SNR_DB),
+                         draw(st.booleans()), draw(st.booleans())))
+    return rows
+
+
+def _cell_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value)
+
+
+@st.composite
+def capture_text(draw, rows):
+    """Capture lines for rows: padded and quoted cells, comment and blank lines between.
+
+    Returns (lines, line number of each row), with cells given as text so a
+    test can corrupt one before the lines are joined.
+    """
+    lines = draw(st.lists(SKIPPED_LINES, max_size=3))
+    lines.append(",".join(CAPTURE_HEADER))
+    cells, line_numbers = [], []
+    for row in rows:
+        lines.extend(draw(st.lists(SKIPPED_LINES, max_size=2)))
+        cells.append([_cell_text(v) for v in row])
+        lines.append(None)  # filled in by render_capture
+        line_numbers.append(len(lines))
+    styles = [[draw(CELL_STYLES) for _ in row] for row in cells]
+    return lines, line_numbers, cells, styles
+
+
+def render_capture(path, lines, line_numbers, cells, styles):
+    lines = list(lines)
+    for n, row, row_styles in zip(line_numbers, cells, styles):
+        out = []
+        for cell, (left, right, quoted) in zip(row, row_styles):
+            out.append(f'"{left}{cell}{right}"' if quoted else f"{left}{cell}{right}")
+        lines[n - 1] = ",".join(out)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.with_suffix(".meta").write_text(
+        "location_id=prop\ndistance_m=50\nenvironment=los-indoor\np_tx_dbm=0\n"
+        f"request_count={max(1, len(cells))}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def capture_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "capture.csv"
+
+
+@CAPTURE_PROPERTY
+@given(st.data(), capture_rows())
+def test_capture_loads_the_values_written(capture_path, data, rows):
+    render_capture(capture_path, *data.draw(capture_text(rows)))
+    assert load_capture(capture_path).samples == tuple(MeasurementSample(*row) for row in rows)
+
+
+@CAPTURE_PROPERTY
+@given(st.data(), capture_rows(min_rows=2),
+       st.sampled_from(("non-numeric", "flag", "duplicate-seq", "crc-without-rssi")))
+def test_one_corrupt_cell_is_reported_at_its_line(capture_path, data, rows, fault):
+    lines, line_numbers, cells, styles = data.draw(capture_text(rows))
+    target = data.draw(st.integers(1, len(rows) - 1))
+    row = cells[target]
+    if fault == "non-numeric":
+        row[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(("abc", "1.2.3", "--5")))
+    elif fault == "flag":
+        row[data.draw(st.integers(4, 5))] = "2"
+    elif fault == "duplicate-seq":
+        row[0] = cells[data.draw(st.integers(0, target - 1))][0]
+    else:
+        channel = data.draw(st.integers(1, 2))
+        row[channel] = ""
+        row[channel + 3] = "1"
+    render_capture(capture_path, lines, line_numbers, cells, styles)
+    with pytest.raises(ValueError, match=f"^line {line_numbers[target]}: "):
+        load_capture(capture_path)
