@@ -131,12 +131,12 @@ def predict_snr_db(budget: LinkBudget, model: PathLossModel, d_m: float) -> floa
 
 
 # The solver's explicit clamps: a threshold whose loss is already exceeded
-# at 0.1 m is unreachable, and answers beyond 1e6 m are capped at exactly
-# 1e6 m.
+# at 0.1 m is unreachable, and answers beyond SOLVE_CAP_M are capped at
+# exactly SOLVE_CAP_M.
 _SOLVE_D_MIN_M = 0.1
-_SOLVE_D_MAX_M = 1.0e6
+SOLVE_CAP_M = 1.0e6
 _SOLVE_LOG_D_MIN = math.log10(_SOLVE_D_MIN_M)  # exactly -1.0
-_SOLVE_LOG_D_MAX = math.log10(_SOLVE_D_MAX_M)  # exactly 6.0
+_SOLVE_LOG_D_MAX = math.log10(SOLVE_CAP_M)  # exactly 6.0
 # The log-affine coefficients reproduce the free functions only to rounding,
 # so a target this little below PL(0.1 m) still reaches 0.1 m.
 _SOLVE_ROUNDING_DB = 1.0e-9

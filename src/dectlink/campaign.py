@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
-from .tabular import float_column, int_column, read_table
+from .tabular import field_parsers, float_column, int_column, parse_key_values, read_table
 
 CAPTURE_HEADER = ("seq", "pcc_rssi_dbm", "pdc_rssi_dbm", "snr_db", "pcc_crc_ok", "pdc_crc_ok")
-
-META_KEYS = ("location_id", "distance_m", "environment", "p_tx_dbm", "request_count")
 
 _ENVIRONMENT_RE = re.compile(r"^(los|nlos)-(indoor|outdoor)$")
 
@@ -104,7 +102,8 @@ class LocationCapture:
     The rows are given either as `samples` or, without building one object
     per row, as `columns`; they are stored as columns, and `samples` is a
     per-row view built on first use. Equality and hashing follow the
-    metadata and the row values.
+    metadata and the row values. Samples are held to the capture file's row
+    rules; `columns` come from the file reader, which has applied them.
     """
 
     location_id: str
@@ -128,6 +127,7 @@ class LocationCapture:
         if columns is None:
             samples = tuple(samples)
             columns = CaptureColumns.from_samples(samples)
+            _check_rows(columns, range(len(samples)), "samples[{}]")
             self.__dict__["samples"] = samples
         elif samples:
             raise TypeError("give samples or columns, not both")
@@ -186,6 +186,10 @@ class LocationCapture:
     @property
     def setting(self) -> str:
         return self.environment.split("-")[1]
+
+
+_META_PARSERS = field_parsers(LocationCapture, skip=("columns",))
+META_KEYS = tuple(_META_PARSERS)
 
 
 def success_rate_pcc(capture: LocationCapture) -> float:
@@ -307,27 +311,35 @@ def _flag_column(cells: list[str], numbers: list[int], name: str) -> tuple[bool,
         raise ValueError(f"line {line_no}: column {name!r} must be 0 or 1, got {cell!r}") from None
 
 
-def _read_capture_columns(path: str | Path) -> CaptureColumns:
-    numbers, cells = read_table(path, CAPTURE_HEADER)
-    seq = int_column(cells[0], numbers, "seq")
+def _check_rows(columns: CaptureColumns, numbers: Sequence[int], where: str) -> None:
+    """Check seq >= 0 and unique, and CRC ok only with RSSI; errors cite where.format(line)."""
+    seq = columns.seq
     if seq and min(seq) < 0:
-        line_no, bad = next((n, s) for n, s in zip(numbers, seq) if s < 0)
-        raise ValueError(f"line {line_no}: column 'seq' must be >= 0, got {bad}")
+        n, bad = next((n, s) for n, s in zip(numbers, seq) if s < 0)
+        raise ValueError(f"{where.format(n)}: column 'seq' must be >= 0, got {bad}")
     if len(set(seq)) != len(seq):
         seen: set[int] = set()
-        for line_no, s in zip(numbers, seq):
+        for n, s in zip(numbers, seq):
             if s in seen:
-                raise ValueError(f"line {line_no}: duplicate seq {s}")
+                raise ValueError(f"{where.format(n)}: duplicate seq {s}")
             seen.add(s)
-    rssi_snr = [
-        float_column(cells[i], numbers, CAPTURE_HEADER[i], optional=True) for i in (1, 2, 3)
-    ]
-    flags = [_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)]
-    for channel, ok, rssi in zip(("pcc", "pdc"), flags, rssi_snr):
+    pairs = ((columns.pcc_crc_ok, columns.pcc_rssi_dbm), (columns.pdc_crc_ok, columns.pdc_rssi_dbm))
+    for channel, (ok, rssi) in zip(("pcc", "pdc"), pairs):
         if None in compress(rssi, ok):
-            line_no = next(n for n, o, r in zip(numbers, ok, rssi) if o and r is None)
-            raise ValueError(f"line {line_no}: {channel}_crc_ok=1 but {channel}_rssi_dbm is empty")
-    return CaptureColumns(tuple(seq), *map(tuple, rssi_snr), *flags)
+            at = where.format(next(n for n, o, r in zip(numbers, ok, rssi) if o and r is None))
+            raise ValueError(f"{at}: {channel}_crc_ok=1 but {channel}_rssi_dbm is empty")
+
+
+def _read_capture_columns(path: str | Path) -> CaptureColumns:
+    numbers, cells = read_table(path, CAPTURE_HEADER)
+    columns = CaptureColumns(
+        tuple(int_column(cells[0], numbers, "seq")),
+        *(tuple(float_column(cells[i], numbers, CAPTURE_HEADER[i], optional=True))
+          for i in (1, 2, 3)),
+        *(_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)),
+    )
+    _check_rows(columns, numbers, "line {}")
+    return columns
 
 
 def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
@@ -338,37 +350,20 @@ def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
     skipped. Empty RSSI cells mean nothing was received on that channel,
     which is only consistent with a 0 CRC flag.
 
-    Each check runs over a whole column, in the order: cell count, seq
-    (integer, >= 0, unique), the RSSI and SNR numbers, the two CRC flags,
-    then CRC against RSSI. A file with one faulty row gets the message a
-    row-by-row scan would give; with faults in several rows, the message
-    names the first row failing the earliest check, which need not be the
-    first faulty row.
+    Each check runs over a whole column, in the order: cell count, the seq
+    integers, the RSSI and SNR numbers, the two CRC flags, then the row
+    rules (seq >= 0, seq unique, CRC against RSSI). A file with one faulty
+    row gets the message a row-by-row scan would give; with faults in
+    several rows, the message names the first row failing the earliest
+    check, which need not be the first faulty row.
     """
     return _read_capture_columns(path).to_samples()
 
 
-def read_capture_meta(path: str | Path) -> dict[str, str]:
-    """Parse a key=value sidecar; raises ValueError on unknown or missing keys."""
+def read_capture_meta(path: str | Path) -> dict[str, Any]:
+    """Parse a key=value sidecar into typed fields; ValueError on a bad or missing key."""
     path = Path(path)
-    values: dict[str, str] = {}
-    with path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path.name} line {line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in META_KEYS:
-                raise ValueError(
-                    f"{path.name} line {line_no}: unknown key {key!r}; "
-                    f"expected one of {', '.join(META_KEYS)}"
-                )
-            if key in values:
-                raise ValueError(f"{path.name} line {line_no}: duplicate key {key!r}")
-            values[key] = value.strip()
+    values = parse_key_values(path.read_text(), _META_PARSERS, path.name)
     missing = [k for k in META_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path.name}: missing keys: {', '.join(missing)}")
@@ -378,21 +373,5 @@ def read_capture_meta(path: str | Path) -> dict[str, str]:
 def load_capture(csv_path: str | Path, meta_path: str | Path | None = None) -> LocationCapture:
     """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta by default)."""
     csv_path = Path(csv_path)
-    if meta_path is None:
-        meta_path = csv_path.with_suffix(".meta")
-    meta = read_capture_meta(meta_path)
-    columns = _read_capture_columns(csv_path)
-    try:
-        distance_m = float(meta["distance_m"])
-        p_tx_dbm = float(meta["p_tx_dbm"])
-        request_count = int(meta["request_count"])
-    except ValueError as exc:
-        raise ValueError(f"{Path(meta_path).name}: {exc}") from None
-    return LocationCapture(
-        location_id=meta["location_id"],
-        distance_m=distance_m,
-        environment=meta["environment"],
-        p_tx_dbm=p_tx_dbm,
-        request_count=request_count,
-        columns=columns,
-    )
+    meta = read_capture_meta(csv_path.with_suffix(".meta") if meta_path is None else meta_path)
+    return LocationCapture(**meta, columns=_read_capture_columns(csv_path))

@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .budget import (
+    ENVIRONMENTS,
+    SOLVE_CAP_M,
     ThresholdUnreachable,
     allowed_path_loss_db,
     max_link_distance,
@@ -31,7 +33,7 @@ from .campaign import CampaignRecord, load_capture, max_reliable_distance, summa
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .fitting import fit_log_distance, fit_log_distance_iterative
 from .fixtures import load_pathloss_comparison
-from .propagation import GEOMETRY_KINDS, MODEL_KINDS, evaluate_sweep
+from .propagation import AREA_CLASSES, CITY_SIZES, GEOMETRY_KINDS, MODEL_KINDS, evaluate_sweep
 from .tabular import float_column, read_table
 
 _CONFIG_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
@@ -103,20 +105,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                    help="RX antenna height in m (required by two-ray and Hata models)")
     g.add_argument("--antenna-gain", dest="antenna_gain", type=float, metavar="G",
                    help="combined linear antenna gain for the two-ray model")
-    g.add_argument("--city-size", dest="city_size", choices=("small-medium", "large"),
+    g.add_argument("--city-size", dest="city_size", choices=CITY_SIZES,
                    help="Hata mobile-height correction variant")
-    g.add_argument("--area-class", dest="area_class", choices=("urban", "suburban-open"),
+    g.add_argument("--area-class", dest="area_class", choices=AREA_CLASSES,
                    help="COST-231 area term")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
-    overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FIELD_NAMES
-        if getattr(args, name, None) is not None
-    }
-    return load_config(path, overrides)
+    return load_config(path, {name: getattr(args, name, None) for name in _CONFIG_FIELD_NAMES})
 
 
 def _parse_model_list(arg: str) -> tuple[str, ...]:
@@ -159,58 +156,33 @@ def cmd_model_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_ANALYZE_COLUMNS = (
-    "location_id",
-    "distance_m",
-    "setting",
-    "propagation",
-    "p_tx_dbm",
-    "request_count",
-    "sr_pcc_pct",
-    "sr_pdc_pct",
-    "mean_pcc_rssi_dbm",
-    "mean_pdc_rssi_dbm",
-    "std_pcc_rssi_db",
-    "min_pcc_rssi_dbm",
-    "max_pcc_rssi_dbm",
-    "mean_snr_db",
-    "empirical_pl_pcc_db",
-    "empirical_pl_pdc_db",
-    "reliable",
-)
+_ANALYZE_COLUMNS = tuple(f.name for f in fields(CampaignRecord))
 
 
-def _analyze_row(r: CampaignRecord) -> list[str]:
-    return [
-        r.location_id,
-        _num(r.distance_m),
-        r.setting,
-        r.propagation,
-        _num(r.p_tx_dbm),
-        str(r.request_count),
-        _num(r.sr_pcc_pct),
-        _num(r.sr_pdc_pct),
-        _num(r.mean_pcc_rssi_dbm),
-        _num(r.mean_pdc_rssi_dbm),
-        _num(r.std_pcc_rssi_db),
-        _num(r.min_pcc_rssi_dbm),
-        _num(r.max_pcc_rssi_dbm),
-        _num(r.mean_snr_db),
-        _num(r.empirical_pl_pcc_db),
-        _num(r.empirical_pl_pdc_db),
-        "1" if r.reliable else "0",
-    ]
+def _cell(value: str | bool | int | float | None) -> str:
+    """One analyze CSV cell: text as is, flags as 1/0, counts via str, the rest via _num."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (str, int)):
+        return str(value)
+    return _num(value)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     budget = cfg.budget()
     thresholds = cfg.thresholds()
-    records = [summarize(load_capture(path), budget, thresholds) for path in args.captures]
+    records = []
+    for path in args.captures:
+        try:
+            capture = load_capture(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        records.append(summarize(capture, budget, thresholds))
     records.sort(key=lambda r: (r.distance_m, r.location_id))
 
     if args.format == "csv":
-        rows = [_analyze_row(r) for r in records]
+        rows = [[_cell(getattr(r, name)) for name in _ANALYZE_COLUMNS] for r in records]
         _emit(_csv_text(_ANALYZE_COLUMNS, rows), args.out)
         return 0
 
@@ -282,10 +254,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 d_star = None
             rows.append((kind, criterion, allowed, d_star))
 
-    # The binding criterion per model is the one allowing the shortest reach.
+    # The binding criterion per model is the one allowing the shortest reach;
+    # a capped reach is only known to be beyond the cap, so it never binds.
     binding: dict[str, str] = {}
     for kind in kinds:
-        candidates = [(d, crit) for k, crit, _, d in rows if k == kind and d is not None]
+        candidates = [
+            (d, crit) for k, crit, _, d in rows if k == kind and d is not None and d < SOLVE_CAP_M
+        ]
         if candidates:
             binding[kind] = min(candidates)[1]
 
@@ -295,7 +270,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 kind,
                 criterion,
                 _num(allowed),
-                "unreachable" if d_star is None else _num(d_star),
+                "unreachable" if d_star is None
+                else "capped" if d_star >= SOLVE_CAP_M else _num(d_star),
                 "1" if binding.get(kind) == criterion and len(criteria) > 1 else "0",
             ]
             for kind, criterion, allowed, d_star in rows
@@ -320,14 +296,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 continue
             mark = "  (binding)" if binding.get(kind) == criterion and len(criteria) > 1 else ""
             if d_star is None:
-                lines.append(
-                    f"  {criterion}: allowed PL {allowed:.2f} dB -> unreachable "
-                    f"(loss already above budget at minimum range)"
-                )
+                reach = "unreachable (loss already above budget at minimum range)"
+            elif d_star >= SOLVE_CAP_M:
+                reach = f"capped (beyond the solver's {SOLVE_CAP_M:.0f} m limit)"
             else:
-                lines.append(
-                    f"  {criterion}: allowed PL {allowed:.2f} dB -> {d_star:.2f} m{mark}"
-                )
+                reach = f"{d_star:.2f} m{mark}"
+            lines.append(f"  {criterion}: allowed PL {allowed:.2f} dB -> {reach}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -433,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(handler=cmd_fit)
 
     p_plan = sub.add_parser("plan", help="solve maximum link distance per model and criterion")
-    p_plan.add_argument("--environment", required=True, choices=("indoor", "outdoor"))
+    p_plan.add_argument("--environment", required=True, choices=ENVIRONMENTS)
     p_plan.add_argument("--models", default="fspl", metavar="KINDS",
                         help="comma-separated model kinds, or 'all' (default fspl)")
     p_plan.add_argument("--criterion", choices=("rssi", "snr", "both"), default="both")

@@ -3,13 +3,13 @@
 A run is parameterized by one flat RunConfig. Values resolve in strict
 precedence order: explicit overrides (CLI flags) beat the config file,
 which beats the built-in defaults. The config file is plain key=value
-lines with '#' comments; DECTLINK_CONFIG names a default file path.
+lines, one per RunConfig field, with '#' comments as `dectlink.tabular`
+reads them; DECTLINK_CONFIG names a default file path.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -21,27 +21,9 @@ from .propagation import (
     HataEnvironment,
     PathLossModel,
 )
+from .tabular import field_parsers, parse_key_values
 
 CONFIG_ENV_VAR = "DECTLINK_CONFIG"
-
-_FLOAT_KEYS = frozenset(
-    {
-        "frequency_hz",
-        "bandwidth_hz",
-        "tx_power_dbm",
-        "correction_tx_db",
-        "correction_rx_db",
-        "noise_figure_db",
-        "min_success_rate",
-        "rssi_floor_indoor_dbm",
-        "rssi_floor_outdoor_dbm",
-        "snr_floor_indoor_db",
-        "snr_floor_outdoor_db",
-        "antenna_gain",
-    }
-)
-_OPTIONAL_FLOAT_KEYS = frozenset({"h_tx_m", "h_rx_m"})
-_STR_KEYS = frozenset({"city_size", "area_class"})
 
 
 @dataclass(frozen=True)
@@ -115,42 +97,12 @@ class RunConfig:
         )
 
 
-_VALID_KEYS = _FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS | _STR_KEYS
-assert _VALID_KEYS == {f.name for f in fields(RunConfig)}
+_PARSERS = field_parsers(RunConfig)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
-    """Parse key=value config lines into typed values; '#' starts a comment."""
-    values: dict[str, Any] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source} line {line_no}: expected key=value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _VALID_KEYS:
-            raise ValueError(f"{source} line {line_no}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"{source} line {line_no}: duplicate key {key!r}")
-        values[key] = _coerce(key, value, f"{source} line {line_no}")
-    return values
-
-
-def _coerce(key: str, value: str, where: str) -> Any:
-    if key in _STR_KEYS:
-        return value
-    if key in _OPTIONAL_FLOAT_KEYS and value.lower() in ("", "none"):
-        return None
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ValueError(f"{where}: key {key!r} needs a number, got {value!r}") from None
-    if not math.isfinite(parsed):
-        raise ValueError(f"{where}: key {key!r} must be finite, got {value!r}")
-    return parsed
+    """Parse key=value config lines into typed values (format: `dectlink.tabular`)."""
+    return parse_key_values(text, _PARSERS, source)
 
 
 def load_config(
@@ -168,7 +120,7 @@ def load_config(
         merged.update(parse_config_text(path.read_text(), source=path.name))
     if overrides:
         for key, value in overrides.items():
-            if key not in _VALID_KEYS:
+            if key not in _PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
             if value is not None:
                 merged[key] = value

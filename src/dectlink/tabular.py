@@ -1,19 +1,24 @@
-"""The one CSV table reader behind captures, fit points and the bundled fixtures.
+"""The package's text formats: CSV tables and key=value files.
 
 A line whose first non-blank character is '#' is a comment and an empty line
-is skipped, wherever either sits, so a comment may hold commas. The first
-remaining line must be the expected header. The other lines are split with
-csv.reader, so quoted cells keep their commas, and come back column by column
-together with their line numbers in the file, which error messages cite.
-Column parsers check a whole column at once and scan for the first bad cell
-only when the check fails.
+is skipped, wherever either sits, so a comment may hold commas. In a table
+(captures, fit points, the bundled fixtures) the first remaining line must be
+the expected header; the others are split with csv.reader, so quoted cells
+keep their commas, and come back column by column with their line numbers in
+the file, which error messages cite. Column parsers check a whole column at
+once and scan for the first bad cell only when the check fails. In a
+key=value file (run configs, capture sidecars) a '#' after a blank also
+starts a comment; a '#' glued to a value is part of it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
+from typing import Any, Callable, Mapping, get_type_hints
 
 _SKIPPED_STARTS = frozenset(("", "#"))
 
@@ -52,7 +57,7 @@ def int_column(cells: list[str], numbers: list[int], name: str) -> list[int]:
     try:
         return list(map(int, cells))
     except ValueError:
-        return [_int_cell(cell, line_no, name) for line_no, cell in zip(numbers, cells)]
+        return [_cell(_integer, cell, line_no, name) for line_no, cell in zip(numbers, cells)]
 
 
 def float_column(
@@ -72,23 +77,78 @@ def float_column(
             return values
     except ValueError:
         pass
-    return [_float_cell(cell, line_no, name, optional) for line_no, cell in zip(numbers, cells)]
+    return [
+        None if optional and not cell else _cell(_finite_float, cell, line_no, name)
+        for line_no, cell in zip(numbers, cells)
+    ]
 
 
-def _int_cell(cell: str, line_no: int, name: str) -> int:
+def _cell(parse: Callable[[str], Any], cell: str, line_no: int, name: str) -> Any:
     try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"line {line_no}: column {name!r} is not an integer: {cell!r}") from None
+        return parse(cell)
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: column {name!r} {exc}") from None
 
 
-def _float_cell(cell: str, line_no: int, name: str, optional: bool) -> float | None:
-    if optional and cell == "":
-        return None
+def _integer(text: str) -> int:
     try:
-        value = float(cell)
+        return int(text)
     except ValueError:
-        raise ValueError(f"line {line_no}: column {name!r} is not a number: {cell!r}") from None
+        raise ValueError(f"is not an integer: {text!r}") from None
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"is not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"line {line_no}: column {name!r} must be finite, got {cell!r}")
+        raise ValueError(f"must be finite, got {text!r}")
     return value
+
+
+def _none_or_float(text: str) -> float | None:
+    return None if text.lower() in ("", "none") else _finite_float(text)
+
+
+# Value parsers for key=value files, by dataclass field annotation.
+_FIELD_PARSERS = {str: str, int: _integer, float: _finite_float, float | None: _none_or_float}
+
+
+def field_parsers(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[str], Any]]:
+    """Value parsers for the fields of dataclass `cls` not in `skip`, chosen by annotation.
+
+    `float | None` also reads 'none' or an empty value as None.
+    """
+    hints = get_type_hints(cls)
+    return {f.name: _FIELD_PARSERS[hints[f.name]] for f in fields(cls) if f.name not in skip}
+
+
+_INLINE_COMMENT = re.compile(r"\s#")
+
+
+def parse_key_values(text: str, parsers: Mapping[str, Callable[[str], Any]],
+                     source: str) -> dict[str, Any]:
+    """Parse key=value lines into values typed by `parsers`; errors read '<source> line N: ...'."""
+    values: dict[str, Any] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line[:1] in _SKIPPED_STARTS:
+            continue
+        body = _INLINE_COMMENT.split(line, 1)[0] if "#" in line else line
+        key, eq, value = body.partition("=")
+        key = key.strip()
+        if not eq:
+            error = f"expected key=value, got {line!r}"
+        elif key not in parsers:
+            error = f"unknown key {key!r}; expected one of {', '.join(parsers)}"
+        elif key in values:
+            error = f"duplicate key {key!r}"
+        else:
+            try:
+                values[key] = parsers[key](value.strip())
+                continue
+            except ValueError as exc:
+                error = f"key {key!r} {exc}"
+        raise ValueError(f"{source} line {line_no}: {error}")
+    return values

@@ -170,6 +170,18 @@ class TestCaptureValidation:
         assert text.startswith("3 RSSI value(s) above 10 dBm")
         assert "seq=4" in text
 
+    def test_samples_follow_the_file_row_rules(self):
+        # Duplicate seq and CRC ok without RSSI: the rows a capture file may not hold.
+        with pytest.raises(ValueError, match=r"^samples\[1\]: duplicate seq 0"):
+            LocationCapture("x", 40.0, "los-indoor", 0.0, 2, [
+                MeasurementSample(0, None, None, None, True, True),
+                MeasurementSample(0, -80.0, -80.0, 10.0, True, True),
+            ])
+        with pytest.raises(ValueError, match=r"^samples\[0\]: pcc_crc_ok=1"):
+            make_capture([make_sample(pcc=None), make_sample(seq=1)])
+        with pytest.raises(ValueError, match=r"^samples\[0\]: column 'seq' must be >= 0"):
+            make_capture([make_sample(seq=-1)])
+
     def test_setting_and_propagation_split(self):
         cap = make_capture([make_sample()], environment="nlos-outdoor")
         assert cap.propagation == "nlos"
@@ -386,8 +398,16 @@ class TestSidecar:
             "location_id=v\ndistance_m=forty\nenvironment=los-indoor\n"
             "p_tx_dbm=0\nrequest_count=5\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^v\.meta line 2: key 'distance_m'"):
             load_capture(csv_path)
+
+    def test_a_hash_starts_a_comment_only_after_a_blank(self, tmp_path):
+        csv_path = write_capture(tmp_path, "h", synth_capture_rows(seed=2, n=5))
+        meta = (tmp_path / "h.meta").read_text().replace("location_id=h", "location_id=hall#2")
+        (tmp_path / "h.meta").write_text(meta)
+        assert load_capture(csv_path).location_id == "hall#2"
+        (tmp_path / "h.meta").write_text(meta.replace("hall#2", "hall #2"))
+        assert load_capture(csv_path).location_id == "hall"
 
     def test_sidecar_found_by_convention(self, tmp_path):
         rows = synth_capture_rows(seed=2, n=5)

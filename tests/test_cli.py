@@ -189,6 +189,14 @@ class TestAnalyze:
         assert code == 2
         assert "line 3" in err
 
+    def test_error_names_the_failing_capture(self, capsys, tmp_path):
+        good = write_capture(tmp_path, "a", [(i, -80.0, -80.0, 10.0, 1, 1) for i in range(5)])
+        bad = write_capture(tmp_path, "b", [(0, -80.0, -80.0, 10.0, 1, 1),
+                                            (1, None, -81.0, 9.0, 1, 0)])
+        code, out, err = run_cli(capsys, "analyze", str(good), str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: line 3: pcc_crc_ok=1 but pcc_rssi_dbm is empty\n"
+
     def test_table_reports_max_reliable_distance(self, capsys, tmp_path):
         path = write_capture(tmp_path, "good", [(i, -80.0, -80.0, 10.0, 1, 1) for i in range(50)],
                              distance_m=61.0)
@@ -293,6 +301,17 @@ class TestPlan:
         assert code == 0
         _, body = parse_csv(out)
         assert body[0][3] == "unreachable"
+
+    def test_reach_beyond_the_solver_cap_is_marked_capped(self, capsys):
+        argv = ("plan", "--environment", "outdoor", "--tx-power", "200", "--criterion", "rssi")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "-> capped (beyond the solver's 1000000 m limit)" in out
+        assert "1000000.00" not in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        _, body = parse_csv(out)
+        assert body == [["fspl", "rssi", "297.0", "capped", "0"]]
 
 
 class TestReport:

@@ -68,6 +68,9 @@ class TestParsing:
     def test_bad_number_carries_location(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("tx_power_dbm=loud\n")
+        # A '#' glued to a value is part of it, not a comment.
+        with pytest.raises(ValueError, match="^<config> line 1: key 'tx_power_dbm'"):
+            parse_config_text("tx_power_dbm=19#x\n")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -1,5 +1,8 @@
-"""Property tests: the log-affine model core over random valid models, and
-capture ingestion over random, oddly formatted capture files."""
+"""Property tests: the log-affine model core over random valid models,
+capture ingestion over random, oddly formatted capture files, and config
+files over random valid configurations."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from dectlink.budget import distance_for_path_loss
 from dectlink.campaign import CAPTURE_HEADER, MeasurementSample, load_capture
+from dectlink.config import RunConfig, load_config
 from dectlink.propagation import (
     AREA_CLASSES,
     CITY_SIZES,
@@ -175,3 +179,51 @@ def test_one_corrupt_cell_is_reported_at_its_line(capture_path, data, rows, faul
     render_capture(capture_path, lines, line_numbers, cells, styles)
     with pytest.raises(ValueError, match=f"^line {line_numbers[target]}: "):
         load_capture(capture_path)
+
+
+# ------------------------------------------------------------------ config files
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CONFIG_VALUES = {
+    f.name: (
+        st.sampled_from(CITY_SIZES) if f.name == "city_size"
+        else st.sampled_from(AREA_CLASSES) if f.name == "area_class"
+        else st.one_of(st.none(), FINITE) if f.default is None
+        else FINITE
+    )
+    for f in dataclasses.fields(RunConfig)
+}
+COMMENT_TEXT = st.text(st.sampled_from("ab =#,"), max_size=10)
+
+
+@st.composite
+def config_files(draw):
+    """(config, text): a random subset of keys set, in random order, with
+    blanks around '=', whole-line and inline comments and blank lines."""
+    names = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True))
+    values = {name: draw(CONFIG_VALUES[name]) for name in names}
+    lines = []
+    for name, value in values.items():
+        lines.extend(draw(st.lists(SKIPPED_LINES, max_size=2)))
+        if value is None:
+            text = draw(st.sampled_from(("none", "None", "")))
+        else:
+            text = repr(value) if isinstance(value, float) else value
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        comment = draw(st.one_of(st.just(""), st.builds(
+            lambda blank, body: f"{blank}#{body}", st.sampled_from((" ", "\t")), COMMENT_TEXT)))
+        lines.append(f"{pad}{name}{pad}={pad}{text}{comment}")
+    return RunConfig(**values), "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "run.cfg"
+
+
+@CAPTURE_PROPERTY
+@given(config_files())
+def test_config_file_loads_the_values_written(config_path, config_and_text):
+    config, text = config_and_text
+    config_path.write_text(text)
+    assert load_config(config_path) == config
