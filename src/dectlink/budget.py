@@ -176,11 +176,11 @@ def allowed_path_loss_db(
     _check_environment(environment)
     if criterion == "rssi":
         floor = thresholds.rssi_floor_dbm(environment)
-        return budget.p_tx_dbm + budget.total_correction_db - floor
-    if criterion == "snr":
-        floor = thresholds.snr_floor_db(environment)
-        return budget.p_tx_dbm + budget.total_correction_db - (noise_floor_dbm(budget) + floor)
-    raise ValueError(f"criterion must be 'rssi' or 'snr', got {criterion!r}")
+    elif criterion == "snr":
+        floor = noise_floor_dbm(budget) + thresholds.snr_floor_db(environment)
+    else:
+        raise ValueError(f"criterion must be 'rssi' or 'snr', got {criterion!r}")
+    return budget.p_tx_dbm + budget.total_correction_db - floor
 
 
 def max_link_distance(

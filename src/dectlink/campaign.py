@@ -102,8 +102,8 @@ class LocationCapture:
     The rows are given either as `samples` or, without building one object
     per row, as `columns`; they are stored as columns, and `samples` is a
     per-row view built on first use. Equality and hashing follow the
-    metadata and the row values. Samples are held to the capture file's row
-    rules; `columns` come from the file reader, which has applied them.
+    metadata and the row values. Either way the rows are held to the
+    capture file's row rules.
     """
 
     location_id: str
@@ -127,10 +127,11 @@ class LocationCapture:
         if columns is None:
             samples = tuple(samples)
             columns = CaptureColumns.from_samples(samples)
-            _check_rows(columns, range(len(samples)), "samples[{}]")
             self.__dict__["samples"] = samples
         elif samples:
             raise TypeError("give samples or columns, not both")
+        # Rows came as samples exactly when `samples` is non-empty.
+        _check_rows(columns, range(len(columns.seq)), "samples[{}]" if samples else "row {}")
         set_field = object.__setattr__
         set_field(self, "location_id", location_id)
         set_field(self, "distance_m", distance_m)
@@ -330,7 +331,8 @@ def _check_rows(columns: CaptureColumns, numbers: Sequence[int], where: str) -> 
             raise ValueError(f"{at}: {channel}_crc_ok=1 but {channel}_rssi_dbm is empty")
 
 
-def _read_capture_columns(path: str | Path) -> CaptureColumns:
+def _read_capture_columns(path: str | Path) -> tuple[list[int], CaptureColumns]:
+    """The file's line numbers and its columns, before the row rules are checked."""
     numbers, cells = read_table(path, CAPTURE_HEADER)
     columns = CaptureColumns(
         tuple(int_column(cells[0], numbers, "seq")),
@@ -338,8 +340,7 @@ def _read_capture_columns(path: str | Path) -> CaptureColumns:
           for i in (1, 2, 3)),
         *(_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)),
     )
-    _check_rows(columns, numbers, "line {}")
-    return columns
+    return numbers, columns
 
 
 def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
@@ -357,7 +358,9 @@ def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
     several rows, the message names the first row failing the earliest
     check, which need not be the first faulty row.
     """
-    return _read_capture_columns(path).to_samples()
+    numbers, columns = _read_capture_columns(path)
+    _check_rows(columns, numbers, "line {}")
+    return columns.to_samples()
 
 
 def read_capture_meta(path: str | Path) -> dict[str, Any]:
@@ -374,4 +377,10 @@ def load_capture(csv_path: str | Path, meta_path: str | Path | None = None) -> L
     """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta by default)."""
     csv_path = Path(csv_path)
     meta = read_capture_meta(csv_path.with_suffix(".meta") if meta_path is None else meta_path)
-    return LocationCapture(**meta, columns=_read_capture_columns(csv_path))
+    numbers, columns = _read_capture_columns(csv_path)
+    try:
+        return LocationCapture(**meta, columns=columns)
+    except ValueError:
+        # The constructor checks the row rules by row index; name the file line instead.
+        _check_rows(columns, numbers, "line {}")
+        raise

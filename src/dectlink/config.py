@@ -16,6 +16,7 @@ from typing import Any, Mapping
 from .budget import LinkBudget, ReliabilityThresholds
 from .propagation import (
     GEOMETRY_KINDS,
+    HATA_KINDS,
     AntennaGeometry,
     Frequency,
     HataEnvironment,
@@ -93,7 +94,7 @@ class RunConfig:
             kind=kind,
             frequency=Frequency(self.frequency_hz),
             geometry=geometry,
-            environment=self.hata_environment() if kind.endswith("hata") else None,
+            environment=self.hata_environment() if kind in HATA_KINDS else None,
         )
 
 

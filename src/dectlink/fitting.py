@@ -13,7 +13,7 @@ and every CLI command but `fit --engine iterative` never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
@@ -234,13 +234,4 @@ def fit_log_distance_iterative(
     result = fit_general(
         lambda params, dist: log_distance_curve(params, dist, d0_m), initial, points
     )
-    pl0, exponent = result.params
-    return FitResult(
-        params=result.params,
-        rmse_db=result.rmse_db,
-        residuals_db=result.residuals_db,
-        iterations=result.iterations,
-        converged=result.converged,
-        model=LogDistanceModel(pl0, exponent, d0_m),
-        cost_history=result.cost_history,
-    )
+    return replace(result, model=LogDistanceModel(*result.params, d0_m))

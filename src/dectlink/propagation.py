@@ -14,15 +14,6 @@ from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-MODEL_KINDS = (
-    "fspl",
-    "inh-los",
-    "inf-los",
-    "two-ray",
-    "okumura-hata",
-    "cost231-hata",
-)
-
 CITY_SIZES = ("small-medium", "large")
 AREA_CLASSES = ("urban", "suburban-open")
 
@@ -196,6 +187,25 @@ def two_ray_crossover_m(geometry: AntennaGeometry, f_hz: float) -> float:
     return 4.0 * math.pi * geometry.h_tx_m * geometry.h_rx_m / wavelength_m
 
 
+def _hata(
+    d_m: float, f_hz: float, geometry: AntennaGeometry, environment: HataEnvironment,
+    base_db: float, freq_db_per_decade: float, area_db: float,
+) -> float:
+    """The Hata-family formula shared by okumura_hata and cost231_hata."""
+    d_m = _require_positive("distance", d_m)
+    f_mhz = _require_positive("frequency", f_hz) / 1e6
+    h_b = geometry.h_tx_m
+    c_h = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
+    return (
+        base_db
+        + freq_db_per_decade * math.log10(f_mhz)
+        - 13.82 * math.log10(h_b)
+        - c_h
+        + (44.9 - 6.55 * math.log10(h_b)) * math.log10(d_m / 1e3)
+        + area_db
+    )
+
+
 def okumura_hata(
     d_m: float,
     f_hz: float,
@@ -208,17 +218,7 @@ def okumura_hata(
     + [44.9 - 6.55 log10(h_b)] log10(d_km)
     with C_h the mobile height correction selected by environment.city_size.
     """
-    d_m = _require_positive("distance", d_m)
-    f_mhz = _require_positive("frequency", f_hz) / 1e6
-    h_b = geometry.h_tx_m
-    c_h = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
-    return (
-        69.55
-        + 26.16 * math.log10(f_mhz)
-        - 13.82 * math.log10(h_b)
-        - c_h
-        + (44.9 - 6.55 * math.log10(h_b)) * math.log10(d_m / 1e3)
-    )
+    return _hata(d_m, f_hz, geometry, environment, 69.55, 26.16, 0.0)
 
 
 def cost231_hata(
@@ -233,22 +233,11 @@ def cost231_hata(
     + [44.9 - 6.55 log10(h_b)] log10(d_km) + C_m
     with C_m = 3 dB urban, 0 dB suburban/open.
     """
-    d_m = _require_positive("distance", d_m)
-    f_mhz = _require_positive("frequency", f_hz) / 1e6
-    h_b = geometry.h_tx_m
-    a_hm = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
-    return (
-        46.3
-        + 33.9 * math.log10(f_mhz)
-        - 13.82 * math.log10(h_b)
-        - a_hm
-        + (44.9 - 6.55 * math.log10(h_b)) * math.log10(d_m / 1e3)
-        + environment.area_correction_db
-    )
+    return _hata(d_m, f_hz, geometry, environment, 46.3, 33.9, environment.area_correction_db)
 
 
 GEOMETRY_KINDS = ("two-ray", "okumura-hata", "cost231-hata")
-_HATA_KINDS = ("okumura-hata", "cost231-hata")
+HATA_KINDS = ("okumura-hata", "cost231-hata")
 
 # kind -> (model, d_m) -> dB, through the textbook free functions above.
 _FREE_FUNCTIONS = {
@@ -259,6 +248,7 @@ _FREE_FUNCTIONS = {
     "okumura-hata": lambda m, d_m: okumura_hata(d_m, m.frequency.hz, m.geometry, m.environment),
     "cost231-hata": lambda m, d_m: cost231_hata(d_m, m.frequency.hz, m.geometry, m.environment),
 }
+MODEL_KINDS = tuple(_FREE_FUNCTIONS)
 
 
 @dataclass(frozen=True)
@@ -287,7 +277,7 @@ class PathLossModel:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.kind in GEOMETRY_KINDS and self.geometry is None:
             raise ValueError(f"model {self.kind!r} requires antenna geometry (TX/RX heights)")
-        if self.kind in _HATA_KINDS and self.environment is None:
+        if self.kind in HATA_KINDS and self.environment is None:
             raise ValueError(f"model {self.kind!r} requires a Hata environment")
         free = _FREE_FUNCTIONS[self.kind]
         intercept = free(self, 1.0)
@@ -307,46 +297,28 @@ class PathLossModel:
     def flags(self, d_m: float) -> tuple[ValidityFlag, ...]:
         """Out-of-domain notes for evaluating this model at d_m; empty if none."""
         d_m = _require_positive("distance", d_m)
-        found: list[ValidityFlag] = []
+        # Stated ranges: (flag code, value, (low, high), detail given value, low, high).
         if self.kind == "two-ray":
             crossover = two_ray_crossover_m(self.geometry, self.frequency.hz)
-            if d_m < crossover:
-                found.append(
-                    ValidityFlag(
-                        "near-field",
-                        f"distance {d_m:.2f} m below two-ray crossover {crossover:.2f} m",
-                    )
-                )
-        elif self.kind in _HATA_KINDS:
-            lo_f, hi_f = (
-                OKUMURA_HATA_FREQ_RANGE_MHZ
-                if self.kind == "okumura-hata"
-                else COST231_FREQ_RANGE_MHZ
+            stated = (("near-field", d_m, (crossover, math.inf),
+                       "distance {:.2f} m below two-ray crossover {:.2f} m"),)
+        elif self.kind in HATA_KINDS:
+            f_range_mhz = (OKUMURA_HATA_FREQ_RANGE_MHZ if self.kind == "okumura-hata"
+                           else COST231_FREQ_RANGE_MHZ)
+            stated = (
+                ("frequency-out-of-range", self.frequency.mhz, f_range_mhz,
+                 "{:.3f} MHz outside {:.0f}-{:.0f} MHz"),
+                ("tx-height-out-of-range", self.geometry.h_tx_m, HATA_TX_HEIGHT_RANGE_M,
+                 "h_tx {:.2f} m outside {:.0f}-{:.0f} m"),
+                ("distance-out-of-range", d_m / 1e3, HATA_DISTANCE_RANGE_KM,
+                 "{:.3f} km outside {:.0f}-{:.0f} km"),
             )
-            f_mhz = self.frequency.mhz
-            if not lo_f <= f_mhz <= hi_f:
-                found.append(
-                    ValidityFlag(
-                        "frequency-out-of-range",
-                        f"{f_mhz:.3f} MHz outside {lo_f:.0f}-{hi_f:.0f} MHz",
-                    )
-                )
-            lo_h, hi_h = HATA_TX_HEIGHT_RANGE_M
-            if not lo_h <= self.geometry.h_tx_m <= hi_h:
-                found.append(
-                    ValidityFlag(
-                        "tx-height-out-of-range",
-                        f"h_tx {self.geometry.h_tx_m:.2f} m outside {lo_h:.0f}-{hi_h:.0f} m",
-                    )
-                )
-            lo_d, hi_d = HATA_DISTANCE_RANGE_KM
-            if not lo_d <= d_m / 1e3 <= hi_d:
-                found.append(
-                    ValidityFlag(
-                        "distance-out-of-range",
-                        f"{d_m / 1e3:.3f} km outside {lo_d:.0f}-{hi_d:.0f} km",
-                    )
-                )
+        else:
+            return ()
+        found = []
+        for code, value, (lo, hi), detail in stated:
+            if not lo <= value <= hi:
+                found.append(ValidityFlag(code, detail.format(value, lo, hi)))
         return tuple(found)
 
 
@@ -372,19 +344,12 @@ def evaluate_sweep(
     if spacing not in ("linear", "log"):
         raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
-    distances = []
-    for i in range(points):
-        if i == 0:
-            d = d_start_m
-        elif i == points - 1:
-            d = d_end_m
-        elif spacing == "linear":
-            d = d_start_m + (d_end_m - d_start_m) * i / (points - 1)
-        else:
-            d = 10.0 ** (
-                math.log10(d_start_m)
-                + (math.log10(d_end_m) - math.log10(d_start_m)) * i / (points - 1)
-            )
-        distances.append(d)
+    last = points - 1
+    if spacing == "linear":
+        distances = [d_start_m + (d_end_m - d_start_m) * i / last for i in range(points)]
+    else:
+        lo, hi = math.log10(d_start_m), math.log10(d_end_m)
+        distances = [10.0 ** (lo + (hi - lo) * i / last) for i in range(points)]
+    distances[0], distances[-1] = d_start_m, d_end_m
     a, b = model.intercept_db, model.slope_db_per_decade
     return [(d, a + b * math.log10(d)) for d in distances]

@@ -9,6 +9,7 @@ import pytest
 
 from dectlink.budget import LinkBudget, ReliabilityThresholds
 from dectlink.campaign import (
+    CaptureColumns,
     LocationCapture,
     MeasurementSample,
     load_capture,
@@ -181,6 +182,13 @@ class TestCaptureValidation:
             make_capture([make_sample(pcc=None), make_sample(seq=1)])
         with pytest.raises(ValueError, match=r"^samples\[0\]: column 'seq' must be >= 0"):
             make_capture([make_sample(seq=-1)])
+
+    def test_columns_follow_the_file_row_rules(self):
+        # Two rows with seq 0 and CRC ok but no RSSI, given column by column.
+        columns = CaptureColumns((0, 0), (None, None), (None, None), (None, None),
+                                 (True, True), (True, True))
+        with pytest.raises(ValueError, match=r"^row 1: duplicate seq 0"):
+            LocationCapture("x", 40.0, "los-indoor", 0.0, 2, columns=columns)
 
     def test_setting_and_propagation_split(self):
         cap = make_capture([make_sample()], environment="nlos-outdoor")

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from dectlink.config import RunConfig
 from dectlink.propagation import (
+    GEOMETRY_KINDS,
+    HATA_KINDS,
     MODEL_KINDS,
     SPEED_OF_LIGHT,
     AntennaGeometry,
@@ -184,6 +187,20 @@ class TestPathLossModel:
         model = PathLossModel("fspl", Frequency(F_CAMPAIGN))
         assert model.path_loss(2294.0) == fspl(2294.0, F_CAMPAIGN)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_kind_lists_agree(self, kind):
+        def rejected(**parts):
+            try:
+                PathLossModel(kind, Frequency(F_CAMPAIGN), **parts)
+            except ValueError:
+                return True
+            return False
+
+        assert rejected(environment=URBAN) == (kind in GEOMETRY_KINDS)
+        assert rejected(geometry=GEO) == (kind in HATA_KINDS)
+        model = RunConfig(h_tx_m=10, h_rx_m=1.5).model(kind)
+        assert (model.environment is not None) == (kind in HATA_KINDS)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PathLossModel("log-normal", Frequency(1e9))
@@ -256,6 +273,20 @@ class TestPathLossModel:
         )
         assert ok.flags(5000.0) == ()
 
+    def test_hata_range_flag_details(self):
+        model = PathLossModel("okumura-hata", Frequency(F_CAMPAIGN), GEO, URBAN)
+        assert model.flags(650.0) == (
+            ValidityFlag("frequency-out-of-range", "1899.000 MHz outside 150-1500 MHz"),
+            ValidityFlag("tx-height-out-of-range", "h_tx 10.00 m outside 30-200 m"),
+            ValidityFlag("distance-out-of-range", "0.650 km outside 1-20 km"),
+        )
+        high = PathLossModel("cost231-hata", Frequency(5.9e9), AntennaGeometry(250.0, 1.5), URBAN)
+        assert [str(f) for f in high.flags(30000.0)] == [
+            "frequency-out-of-range: 5900.000 MHz outside 500-2000 MHz",
+            "tx-height-out-of-range: h_tx 250.00 m outside 30-200 m",
+            "distance-out-of-range: 30.000 km outside 1-20 km",
+        ]
+
     def test_cost231_frequency_window_differs(self):
         model = PathLossModel("cost231-hata", Frequency(F_CAMPAIGN), AntennaGeometry(50.0, 1.5), URBAN)
         assert {f.code for f in model.flags(5000.0)} == set()
@@ -272,9 +303,10 @@ class TestEvaluateSweep:
 
     def test_endpoints_exact_for_linear_spacing(self):
         model = PathLossModel("inh-los", Frequency(F_CAMPAIGN))
-        pairs = evaluate_sweep(model, 3.7, 191.3, 7, "linear")
-        assert pairs[0][0] == 3.7
-        assert pairs[-1][0] == 191.3
+        for spacing in ("linear", "log"):
+            pairs = evaluate_sweep(model, 3.7, 191.3, 7, spacing)
+            assert pairs[0][0] == 3.7
+            assert pairs[-1][0] == 191.3
 
     def test_inh_decade_between_first_and_last(self):
         model = PathLossModel("inh-los", Frequency(F_CAMPAIGN))
