@@ -165,13 +165,13 @@ class LocationCapture:
         # filter(None, ...) drops None, and 0.0, which is not hot either.
         hottest = max(max(filter(None, col), default=-math.inf) for col in rssi_columns)
         if hottest > _SUSPICIOUS_RSSI_DBM:
-            hot_rows = [
-                i for col in rssi_columns for i, v in enumerate(col)
-                if v is not None and v > _SUSPICIOUS_RSSI_DBM
-            ]
+            hot = [[v for v in filter(None, col) if v > _SUSPICIOUS_RSSI_DBM]
+                   for col in rssi_columns]
+            # Any value equal to a column's first hot value is hot too, so index() finds its row.
+            first = min(col.index(values[0]) for col, values in zip(rssi_columns, hot) if values)
             warnings.warn(
-                f"{len(hot_rows)} RSSI value(s) above {_SUSPICIOUS_RSSI_DBM:.0f} dBm, the "
-                f"first at seq={columns.seq[min(hot_rows)]}; check the capture",
+                f"{sum(map(len, hot))} RSSI value(s) above {_SUSPICIOUS_RSSI_DBM:.0f} dBm, the "
+                f"first at seq={columns.seq[first]}; check the capture",
                 stacklevel=2,
             )
 
@@ -304,7 +304,7 @@ def max_reliable_distance(
 _FLAGS = {"0": False, "1": True}
 
 
-def _flag_column(cells: list[str], numbers: list[int], name: str) -> tuple[bool, ...]:
+def _flag_column(cells: list[str], numbers: Sequence[int], name: str) -> tuple[bool, ...]:
     try:
         return tuple(map(_FLAGS.__getitem__, cells))
     except KeyError:
@@ -331,7 +331,7 @@ def _check_rows(columns: CaptureColumns, numbers: Sequence[int], where: str) -> 
             raise ValueError(f"{at}: {channel}_crc_ok=1 but {channel}_rssi_dbm is empty")
 
 
-def _read_capture_columns(path: str | Path) -> tuple[list[int], CaptureColumns]:
+def _read_capture_columns(path: str | Path) -> tuple[Sequence[int], CaptureColumns]:
     """The file's line numbers and its columns, before the row rules are checked."""
     numbers, cells = read_table(path, CAPTURE_HEADER)
     columns = CaptureColumns(
@@ -366,7 +366,7 @@ def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
 def read_capture_meta(path: str | Path) -> dict[str, Any]:
     """Parse a key=value sidecar into typed fields; ValueError on a bad or missing key."""
     path = Path(path)
-    values = parse_key_values(path.read_text(), _META_PARSERS, path.name)
+    values = parse_key_values(path.read_text(encoding="utf-8-sig"), _META_PARSERS, path.name)
     missing = [k for k in META_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path.name}: missing keys: {', '.join(missing)}")

@@ -118,7 +118,7 @@ def load_config(
     merged: dict[str, Any] = {}
     if path is not None:
         path = Path(path)
-        merged.update(parse_config_text(path.read_text(), source=path.name))
+        merged.update(parse_config_text(path.read_text(encoding="utf-8-sig"), source=path.name))
     if overrides:
         for key, value in overrides.items():
             if key not in _PARSERS:

@@ -3,12 +3,14 @@
 A line whose first non-blank character is '#' is a comment and an empty line
 is skipped, wherever either sits, so a comment may hold commas. In a table
 (captures, fit points, the bundled fixtures) the first remaining line must be
-the expected header; the others are split with csv.reader, so quoted cells
-keep their commas, and come back column by column with their line numbers in
-the file, which error messages cite. Column parsers check a whole column at
-once and scan for the first bad cell only when the check fails. In a
-key=value file (run configs, capture sidecars) a '#' after a blank also
-starts a comment; a '#' glued to a value is part of it.
+the expected header; the others come back column by column with their line
+numbers, which error messages cite. A body with no quote, '#' or blank line and
+a full row on every line is split at its commas in one pass; any other goes
+through csv.reader, so quoted cells keep their commas. Column parsers parse
+each distinct cell once and scan for the first bad cell only when that fails.
+Files are UTF-8, a byte-order mark ignored. In a key=value file (run configs,
+capture sidecars) a '#' after a blank also starts a comment; a '#' glued to a
+value is part of it.
 """
 
 from __future__ import annotations
@@ -17,42 +19,57 @@ import csv
 import math
 import re
 from dataclasses import fields
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, Mapping, get_type_hints
+from typing import Any, Callable, Mapping, Sequence, get_type_hints
 
 _SKIPPED_STARTS = frozenset(("", "#"))
 
 
-def read_table(path: str | Path, header: tuple[str, ...]) -> tuple[list[int], list[list[str]]]:
+def read_table(path: str | Path, header: tuple[str, ...]) -> tuple[Sequence[int], list[list[str]]]:
     """Read a CSV table with the given header; returns (body line numbers, columns).
 
     Cells are stripped of surrounding blanks. Raises ValueError for a missing
     or wrong header and for a row whose cell count differs from the header's.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    numbers = [n for n, line in enumerate(lines, 1) if line.lstrip()[:1] not in _SKIPPED_STARTS]
-    if not numbers:
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    starts = (line.lstrip()[:1] for line in lines)
+    header_no = next((n for n, start in enumerate(starts, 1) if start not in _SKIPPED_STARTS), 0)
+    if not header_no:
         raise ValueError(f"{path}: no header row found")
-    header_no = numbers.pop(0)
     head = next(csv.reader([lines[header_no - 1]]))
     if tuple(cell.strip() for cell in head) != header:
         raise ValueError(f"line {header_no}: bad header {head!r}; expected {','.join(header)}")
 
-    body = [lines[n - 1] for n in numbers]
-    rows = list(csv.reader(body))
+    body = lines[header_no:]
     width = len(header)
-    if set(map(len, rows)) - {width}:
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise ValueError(f"line {numbers[i]}: expected {width} columns, got {len(rows[i])}")
-    columns = [[row[j] for row in rows] for j in range(width)]
-    joined = "".join(body)
-    if " " in joined or "\t" in joined:
+    text = ",".join(body)
+    numbers: Sequence[int]
+    # A plain body (no quote or '#', width - 1 commas on every line, hence no blank
+    # line once width > 1) is split at every comma in one pass.
+    if width > 1 and '"' not in text and "#" not in text and (
+        set(map(str.count, body, repeat(","))) <= {width - 1}
+    ):
+        numbers = range(header_no + 1, len(lines) + 1)
+        cells = text.split(",") if body else []
+        columns = [cells[j::width] for j in range(width)]
+    else:
+        # `starts` resumes at the line after the header.
+        numbers = [n for n, s in enumerate(starts, header_no + 1) if s not in _SKIPPED_STARTS]
+        body = [lines[n - 1] for n in numbers]
+        rows = list(csv.reader(body))
+        if set(map(len, rows)) - {width}:
+            i = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise ValueError(f"line {numbers[i]}: expected {width} columns, got {len(rows[i])}")
+        columns = [[row[j] for row in rows] for j in range(width)]
+        text = "".join(body)
+    if " " in text or "\t" in text:
         columns = [list(map(str.strip, column)) for column in columns]
     return numbers, columns
 
 
-def int_column(cells: list[str], numbers: list[int], name: str) -> list[int]:
+def int_column(cells: list[str], numbers: Sequence[int], name: str) -> list[int]:
     """Parse a column of integers; ValueError names the first bad cell's line."""
     try:
         return list(map(int, cells))
@@ -61,7 +78,7 @@ def int_column(cells: list[str], numbers: list[int], name: str) -> list[int]:
 
 
 def float_column(
-    cells: list[str], numbers: list[int], name: str, optional: bool = False
+    cells: list[str], numbers: Sequence[int], name: str, optional: bool = False
 ) -> list[float | None]:
     """Parse a column of finite floats; with optional, an empty cell gives None.
 
@@ -69,12 +86,10 @@ def float_column(
     finite, or (without optional) is empty.
     """
     try:
-        if optional:
-            values = [float(cell) if cell else None for cell in cells]
-        else:
-            values = list(map(float, cells))
-        if all(map(math.isfinite, filter(None, values))):
-            return values
+        # Measured values repeat, so each distinct text is parsed once.
+        parsed = {cell: float(cell) if cell or not optional else None for cell in set(cells)}
+        if all(map(math.isfinite, filter(None, parsed.values()))):
+            return list(map(parsed.__getitem__, cells))
     except ValueError:
         pass
     return [

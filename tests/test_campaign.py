@@ -171,6 +171,17 @@ class TestCaptureValidation:
         assert text.startswith("3 RSSI value(s) above 10 dBm")
         assert "seq=4" in text
 
+    def test_hot_rssi_first_in_pdc_names_its_row(self):
+        samples = [make_sample(seq=10 + i) for i in range(8)]
+        samples[2] = make_sample(seq=12, pdc=11.0)
+        samples[5] = make_sample(seq=15, pcc=14.0, pdc=11.0)
+        samples[6] = make_sample(seq=16, pcc=30.0)
+        with pytest.warns(UserWarning) as caught:
+            make_capture(samples)
+        assert [str(w.message) for w in caught] == [
+            "4 RSSI value(s) above 10 dBm, the first at seq=12; check the capture"
+        ]
+
     def test_samples_follow_the_file_row_rules(self):
         # Duplicate seq and CRC ok without RSSI: the rows a capture file may not hold.
         with pytest.raises(ValueError, match=r"^samples\[1\]: duplicate seq 0"):

@@ -3,13 +3,14 @@ capture ingestion over random, oddly formatted capture files, and config
 files over random valid configurations."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dectlink.budget import distance_for_path_loss
-from dectlink.campaign import CAPTURE_HEADER, MeasurementSample, load_capture
+from dectlink.campaign import CAPTURE_HEADER, MeasurementSample, load_capture, mean_power_db
 from dectlink.config import RunConfig, load_config
 from dectlink.propagation import (
     AREA_CLASSES,
@@ -179,6 +180,15 @@ def test_one_corrupt_cell_is_reported_at_its_line(capture_path, data, rows, faul
     render_capture(capture_path, lines, line_numbers, cells, styles)
     with pytest.raises(ValueError, match=f"^line {line_numbers[target]}: "):
         load_capture(capture_path)
+
+
+
+@PROPERTY
+@given(st.lists(st.floats(-200.0, 60.0), min_size=1, max_size=50))
+def test_mean_power_lies_between_the_db_mean_and_the_maximum(values):
+    mean = mean_power_db(values)
+    assert min(values) - 1e-9 <= mean <= max(values) + 1e-9
+    assert mean >= math.fsum(values) / len(values) - 1e-9
 
 
 # ------------------------------------------------------------------ config files
