@@ -10,9 +10,9 @@ Captures are read by the package's one table reader (`dectlink.tabular`):
 a line whose first non-blank character is '#' is a comment, wherever it
 sits and whatever it holds, commas included. A `LocationCapture` keeps its
 rows column by column (`CaptureColumns`) and checks and summarises whole
-columns; the per-row `MeasurementSample` view is built only when
-`samples` is read. RSSI values above 10 dBm are taken for logging glitches
-and raise one warning per capture, giving their count and the first seq.
+columns; `zip(*capture.columns)` iterates the rows as tuples. RSSI values
+above 10 dBm are taken for logging glitches and raise one warning per
+capture, giving its location id, their count and the first seq.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
 from .tabular import field_parsers, float_column, int_column, parse_key_values, read_table
-
-CAPTURE_HEADER = ("seq", "pcc_rssi_dbm", "pdc_rssi_dbm", "snr_db", "pcc_crc_ok", "pdc_crc_ok")
 
 _ENVIRONMENT_RE = re.compile(r"^(los|nlos)-(indoor|outdoor)$")
 
@@ -61,18 +58,6 @@ def sample_std_db(values_db: Sequence[float]) -> float:
     return math.sqrt(math.fsum([(v - mean) ** 2 for v in values_db]) / (n - 1))
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
-    """One request's reception outcome; RSSI/SNR are None when nothing was heard."""
-
-    seq: int
-    pcc_rssi_dbm: float | None
-    pdc_rssi_dbm: float | None
-    snr_db: float | None
-    pcc_crc_ok: bool
-    pdc_crc_ok: bool
-
-
 class CaptureColumns(NamedTuple):
     """A capture's rows column by column; entry i of every column belongs to row i."""
 
@@ -83,15 +68,11 @@ class CaptureColumns(NamedTuple):
     pcc_crc_ok: tuple[bool, ...]
     pdc_crc_ok: tuple[bool, ...]
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[MeasurementSample]) -> CaptureColumns:
-        return cls(*(tuple(getattr(s, name) for s in samples) for name in cls._fields))
 
-    def to_samples(self) -> tuple[MeasurementSample, ...]:
-        return tuple(map(MeasurementSample, *self))
+CAPTURE_HEADER = CaptureColumns._fields
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LocationCapture:
     """A full capture at one location: rows plus sidecar metadata.
 
@@ -99,11 +80,9 @@ class LocationCapture:
     number of logged rows when lost requests produce no row at all; success
     rates always use request_count as the denominator.
 
-    The rows are given either as `samples` or, without building one object
-    per row, as `columns`; they are stored as columns, and `samples` is a
-    per-row view built on first use. Equality and hashing follow the
-    metadata and the row values. Either way the rows are held to the
-    capture file's row rules.
+    The rows are held column by column and are checked against the capture
+    file's row rules; errors name the row index (`row N:`). Iterate the rows
+    as tuples with `zip(*capture.columns)`.
     """
 
     location_id: str
@@ -113,33 +92,9 @@ class LocationCapture:
     request_count: int
     columns: CaptureColumns
 
-    def __init__(
-        self,
-        location_id: str,
-        distance_m: float,
-        environment: str,
-        p_tx_dbm: float,
-        request_count: int,
-        samples: Iterable[MeasurementSample] = (),
-        *,
-        columns: CaptureColumns | None = None,
-    ) -> None:
-        if columns is None:
-            samples = tuple(samples)
-            columns = CaptureColumns.from_samples(samples)
-            self.__dict__["samples"] = samples
-        elif samples:
-            raise TypeError("give samples or columns, not both")
-        # Rows came as samples exactly when `samples` is non-empty.
-        _check_rows(columns, range(len(columns.seq)), "samples[{}]" if samples else "row {}")
-        set_field = object.__setattr__
-        set_field(self, "location_id", location_id)
-        set_field(self, "distance_m", distance_m)
-        set_field(self, "environment", environment)
-        set_field(self, "p_tx_dbm", p_tx_dbm)
-        set_field(self, "request_count", request_count)
-        set_field(self, "columns", columns)
-
+    def __post_init__(self) -> None:
+        columns = self.columns
+        _check_rows(columns, range(len(columns.seq)), "row {}")
         if not self.location_id:
             raise ValueError("location_id must be non-empty")
         if not math.isfinite(self.distance_m) or self.distance_m <= 0.0:
@@ -169,16 +124,13 @@ class LocationCapture:
                    for col in rssi_columns]
             # Any value equal to a column's first hot value is hot too, so index() finds its row.
             first = min(col.index(values[0]) for col, values in zip(rssi_columns, hot) if values)
+            # Level 3 skips the generated __init__ and names the caller of LocationCapture(...).
             warnings.warn(
-                f"{sum(map(len, hot))} RSSI value(s) above {_SUSPICIOUS_RSSI_DBM:.0f} dBm, the "
-                f"first at seq={columns.seq[first]}; check the capture",
-                stacklevel=2,
+                f"{self.location_id}: {sum(map(len, hot))} RSSI value(s) above "
+                f"{_SUSPICIOUS_RSSI_DBM:.0f} dBm, the first at seq={columns.seq[first]}; "
+                "check the capture",
+                stacklevel=3,
             )
-
-    @cached_property
-    def samples(self) -> tuple[MeasurementSample, ...]:
-        """The rows as one MeasurementSample each, built on first use."""
-        return self.columns.to_samples()
 
     @property
     def propagation(self) -> str:
@@ -343,8 +295,8 @@ def _read_capture_columns(path: str | Path) -> tuple[Sequence[int], CaptureColum
     return numbers, columns
 
 
-def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
-    """Parse a capture CSV into samples; raises ValueError with line numbers.
+def read_capture_csv(path: str | Path) -> CaptureColumns:
+    """Parse a capture CSV into its columns; raises ValueError with line numbers.
 
     Expected header: seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok.
     Lines whose first non-blank character is '#', and empty lines, are
@@ -360,7 +312,7 @@ def read_capture_csv(path: str | Path) -> tuple[MeasurementSample, ...]:
     """
     numbers, columns = _read_capture_columns(path)
     _check_rows(columns, numbers, "line {}")
-    return columns.to_samples()
+    return columns
 
 
 def read_capture_meta(path: str | Path) -> dict[str, Any]:

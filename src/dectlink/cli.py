@@ -26,7 +26,7 @@ from .budget import (
     SOLVE_CAP_M,
     ThresholdUnreachable,
     allowed_path_loss_db,
-    max_link_distance,
+    distance_for_path_loss,
     noise_floor_dbm,
 )
 from .campaign import CampaignRecord, load_capture, max_reliable_distance, summarize
@@ -243,13 +243,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
     kinds = _parse_model_list(args.models)
     criteria = ("rssi", "snr") if args.criterion == "both" else (args.criterion,)
 
+    allowed_by_criterion = {
+        criterion: allowed_path_loss_db(budget, thresholds, args.environment, criterion)
+        for criterion in criteria
+    }
     rows: list[tuple[str, str, float, float | None]] = []
     for kind in kinds:
         model = cfg.model(kind)
-        for criterion in criteria:
-            allowed = allowed_path_loss_db(budget, thresholds, args.environment, criterion)
+        for criterion, allowed in allowed_by_criterion.items():
             try:
-                d_star = max_link_distance(budget, model, thresholds, args.environment, criterion)
+                d_star = distance_for_path_loss(model, allowed)
             except ThresholdUnreachable:
                 d_star = None
             rows.append((kind, criterion, allowed, d_star))

@@ -23,6 +23,8 @@ OKUMURA_HATA_FREQ_RANGE_MHZ = (150.0, 1500.0)
 COST231_FREQ_RANGE_MHZ = (500.0, 2000.0)
 HATA_TX_HEIGHT_RANGE_M = (30.0, 200.0)
 HATA_DISTANCE_RANGE_KM = (1.0, 20.0)
+# 3GPP TR 38.901 Table 7.4.1-1, LOS distance ranges of the indoor models.
+INDOOR_DISTANCE_RANGE_M = {"inh-los": (1.0, 150.0), "inf-los": (1.0, 600.0)}
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -56,24 +58,6 @@ class Frequency:
     @property
     def ghz(self) -> float:
         return self.hz / 1e9
-
-
-@dataclass(frozen=True)
-class Distance:
-    """Link distance stored canonically in meters."""
-
-    m: float
-
-    def __post_init__(self) -> None:
-        _require_positive("distance", self.m)
-
-    @classmethod
-    def from_km(cls, km: float) -> "Distance":
-        return cls(float(km) * 1e3)
-
-    @property
-    def km(self) -> float:
-        return self.m / 1e3
 
 
 @dataclass(frozen=True)
@@ -313,6 +297,9 @@ class PathLossModel:
                 ("distance-out-of-range", d_m / 1e3, HATA_DISTANCE_RANGE_KM,
                  "{:.3f} km outside {:.0f}-{:.0f} km"),
             )
+        elif self.kind in INDOOR_DISTANCE_RANGE_M:
+            stated = (("distance-out-of-range", d_m, INDOOR_DISTANCE_RANGE_M[self.kind],
+                       "{:.2f} m outside {:.0f}-{:.0f} m"),)
         else:
             return ()
         found = []

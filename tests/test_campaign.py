@@ -11,7 +11,6 @@ from dectlink.budget import LinkBudget, ReliabilityThresholds
 from dectlink.campaign import (
     CaptureColumns,
     LocationCapture,
-    MeasurementSample,
     load_capture,
     max_reliable_distance,
     mean_power_db,
@@ -30,7 +29,8 @@ THRESHOLDS = ReliabilityThresholds()
 
 
 def make_sample(seq=0, pcc=-80.0, pdc=-80.5, snr=13.0, ok_pcc=True, ok_pdc=True):
-    return MeasurementSample(seq, pcc, pdc, snr, ok_pcc, ok_pdc)
+    """One capture row as a tuple, in CaptureColumns field order."""
+    return (seq, pcc, pdc, snr, ok_pcc, ok_pdc)
 
 
 def make_capture(samples, request_count=None, distance_m=40.0, environment="los-indoor",
@@ -41,7 +41,7 @@ def make_capture(samples, request_count=None, distance_m=40.0, environment="los-
         environment=environment,
         p_tx_dbm=p_tx_dbm,
         request_count=request_count if request_count is not None else len(samples),
-        samples=tuple(samples),
+        columns=CaptureColumns(*zip(*samples)),
     )
 
 
@@ -167,8 +167,9 @@ class TestCaptureValidation:
             make_capture(samples)
         assert len(caught) == 1
         assert issubclass(caught[0].category, UserWarning)
+        assert caught[0].filename == __file__  # the warning points at the constructor's caller
         text = str(caught[0].message)
-        assert text.startswith("3 RSSI value(s) above 10 dBm")
+        assert text.startswith("loc: 3 RSSI value(s) above 10 dBm")
         assert "seq=4" in text
 
     def test_hot_rssi_first_in_pdc_names_its_row(self):
@@ -179,19 +180,19 @@ class TestCaptureValidation:
         with pytest.warns(UserWarning) as caught:
             make_capture(samples)
         assert [str(w.message) for w in caught] == [
-            "4 RSSI value(s) above 10 dBm, the first at seq=12; check the capture"
+            "loc: 4 RSSI value(s) above 10 dBm, the first at seq=12; check the capture"
         ]
 
     def test_samples_follow_the_file_row_rules(self):
         # Duplicate seq and CRC ok without RSSI: the rows a capture file may not hold.
-        with pytest.raises(ValueError, match=r"^samples\[1\]: duplicate seq 0"):
-            LocationCapture("x", 40.0, "los-indoor", 0.0, 2, [
-                MeasurementSample(0, None, None, None, True, True),
-                MeasurementSample(0, -80.0, -80.0, 10.0, True, True),
-            ])
-        with pytest.raises(ValueError, match=r"^samples\[0\]: pcc_crc_ok=1"):
+        with pytest.raises(ValueError, match=r"^row 1: duplicate seq 0"):
+            make_capture([
+                make_sample(0, None, None, None, True, True),
+                make_sample(0, -80.0, -80.0, 10.0, True, True),
+            ], request_count=2, location_id="x")
+        with pytest.raises(ValueError, match=r"^row 0: pcc_crc_ok=1"):
             make_capture([make_sample(pcc=None), make_sample(seq=1)])
-        with pytest.raises(ValueError, match=r"^samples\[0\]: column 'seq' must be >= 0"):
+        with pytest.raises(ValueError, match=r"^row 0: column 'seq' must be >= 0"):
             make_capture([make_sample(seq=-1)])
 
     def test_columns_follow_the_file_row_rules(self):
@@ -223,7 +224,7 @@ class TestSummarize:
         assert record.empirical_pl_pcc_db == pytest.approx(101.0, abs=1e-9)
 
     def test_no_received_samples_leaves_stats_unset(self):
-        samples = [MeasurementSample(i, None, None, None, False, False) for i in range(5)]
+        samples = [make_sample(i, None, None, None, False, False) for i in range(5)]
         record = summarize(make_capture(samples), BUDGET, THRESHOLDS)
         assert record.mean_pcc_rssi_dbm is None
         assert record.empirical_pl_pcc_db is None
@@ -241,7 +242,7 @@ class TestSummarize:
             pdc = rng.uniform(-100.0, -60.0) if received else None
             snr = rng.uniform(2.0, 20.0) if received else None
             samples.append(
-                MeasurementSample(
+                make_sample(
                     i, pcc, pdc, snr,
                     received and rng.random() < 0.95,
                     received and rng.random() < 0.93,
@@ -250,7 +251,7 @@ class TestSummarize:
         capture = make_capture(samples, request_count=520, p_tx_dbm=19.0)
         record = summarize(capture, BUDGET, THRESHOLDS)
 
-        pcc = [s.pcc_rssi_dbm for s in samples if s.pcc_rssi_dbm is not None]
+        pcc = [s[1] for s in samples if s[1] is not None]
         lin_mean = 10.0 * math.log10(sum(10 ** (v / 10.0) for v in pcc) / len(pcc))
         assert record.mean_pcc_rssi_dbm == pytest.approx(lin_mean, abs=1e-9)
         mu = sum(pcc) / len(pcc)
@@ -260,10 +261,10 @@ class TestSummarize:
         assert record.min_pcc_rssi_dbm == min(pcc)
         assert record.max_pcc_rssi_dbm == max(pcc)
         assert record.sr_pcc_pct == pytest.approx(
-            100.0 * sum(1 for s in samples if s.pcc_crc_ok) / 520, abs=1e-12
+            100.0 * sum(1 for s in samples if s[4]) / 520, abs=1e-12
         )
         assert record.empirical_pl_pcc_db == pytest.approx(19.0 - lin_mean + 2.0, abs=1e-9)
-        snrs = [s.snr_db for s in samples if s.snr_db is not None]
+        snrs = [s[3] for s in samples if s[3] is not None]
         assert record.mean_snr_db == pytest.approx(
             10.0 * math.log10(sum(10 ** (v / 10.0) for v in snrs) / len(snrs)), abs=1e-9
         )
@@ -312,12 +313,13 @@ class TestCaptureCsv:
         path = write_capture(tmp_path, "roundtrip", rows, distance_m=120.0,
                              environment="los-indoor", p_tx_dbm=0.0)
         capture = load_capture(path)
-        assert len(capture.samples) == 50
+        assert len(capture.columns.seq) == 50
         assert capture.distance_m == 120.0
         assert capture.location_id == "roundtrip"
-        lost = [s for s in capture.samples if s.pcc_rssi_dbm is None]
-        for s in lost:
-            assert not s.pcc_crc_ok and not s.pdc_crc_ok
+        columns = capture.columns
+        lost = [i for i, rssi in enumerate(columns.pcc_rssi_dbm) if rssi is None]
+        for i in lost:
+            assert not columns.pcc_crc_ok[i] and not columns.pdc_crc_ok[i]
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -355,13 +357,13 @@ class TestCaptureCsv:
             "# capture notes\nseq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok\n"
             "0,-80,-80.5,10,1,1\n"
         )
-        assert len(read_capture_csv(p)) == 1
+        assert len(read_capture_csv(p).seq) == 1
 
     def test_comment_holding_a_comma_is_skipped(self, capture_factory):
         path = capture_factory("commas", n=20)
         path.write_text("# site a, run 2\n" + path.read_text())
         capture = load_capture(path)
-        assert len(capture.samples) == 20
+        assert len(capture.columns.seq) == 20
 
     def test_comment_between_rows_keeps_line_numbers(self, tmp_path):
         p = tmp_path / "mid.csv"
@@ -376,14 +378,14 @@ class TestCaptureCsv:
         with pytest.raises(ValueError, match="^line 6: pcc_crc_ok=1"):
             read_capture_csv(p)
         p.write_text(p.read_text().replace("2,,-81,9,1,0", "2,-82,-82,8,0,0"))
-        assert [s.seq for s in read_capture_csv(p)] == [0, 1, 2]
+        assert read_capture_csv(p).seq == (0, 1, 2)
 
     def test_loaded_capture_equals_one_built_from_its_samples(self, capture_factory):
         loaded = load_capture(capture_factory("eq", seed=3, n=40))
-        rebuilt = make_capture(loaded.samples, request_count=loaded.request_count,
-                               location_id="eq")
+        rows = list(zip(*loaded.columns))
+        rebuilt = make_capture(rows, request_count=loaded.request_count, location_id="eq")
         assert loaded == rebuilt and hash(loaded) == hash(rebuilt)
-        assert loaded != make_capture(loaded.samples[1:], request_count=40, location_id="eq")
+        assert loaded != make_capture(rows[1:], request_count=40, location_id="eq")
         with pytest.raises(dataclasses.FrozenInstanceError):
             loaded.request_count = 1
 

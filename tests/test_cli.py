@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,20 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", str(path))
         assert code == 0
         assert "max reliable distance: 61.00 m (good)" in out
+
+    def test_each_glitchy_capture_warns_under_default_filters(self, capsys, tmp_path):
+        # Same glitch in two captures: Python's "default" action shows a given text
+        # from one source line once, so the texts must differ by capture.
+        rows = [(0, -80.0, -80.0, 10.0, 1, 1), (1, 14.0, 14.0, 10.0, 1, 1)]
+        paths = [write_capture(tmp_path, name, rows) for name in ("a", "b")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code, _, _ = run_cli(capsys, "analyze", *map(str, paths))
+        assert code == 0
+        assert [str(w.message) for w in caught] == [
+            f"{name}: 2 RSSI value(s) above 10 dBm, the first at seq=1; check the capture"
+            for name in ("a", "b")
+        ]
 
 
 class TestFit:

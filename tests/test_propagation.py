@@ -12,7 +12,6 @@ from dectlink.propagation import (
     MODEL_KINDS,
     SPEED_OF_LIGHT,
     AntennaGeometry,
-    Distance,
     Frequency,
     HataEnvironment,
     PathLossModel,
@@ -53,8 +52,6 @@ class TestFrequencyDistance:
         assert Frequency.from_mhz(1899.0).hz == 1899e6
         assert Frequency.from_mhz(1899.0).mhz == 1899.0
         assert Frequency.from_ghz(1.899).ghz == 1.899
-        assert Distance.from_km(2.294).km == 2.294
-        assert Distance.from_km(2.294).m == 2294.0
 
     def test_round_trips_over_random_values(self):
         rng = random.Random(42)
@@ -62,15 +59,11 @@ class TestFrequencyDistance:
             f = rng.uniform(1e5, 1e11)
             assert Frequency(f).hz == f
             assert Frequency.from_mhz(Frequency(f).mhz).hz == pytest.approx(f, rel=1e-15)
-            d = rng.uniform(1e-2, 1e7)
-            assert Distance.from_km(Distance(d).km).m == pytest.approx(d, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError):
             Frequency(bad)
-        with pytest.raises(ValueError):
-            Distance(bad)
 
 
 class TestFspl:
@@ -286,6 +279,19 @@ class TestPathLossModel:
             "tx-height-out-of-range: h_tx 250.00 m outside 30-200 m",
             "distance-out-of-range: 30.000 km outside 1-20 km",
         ]
+
+    @pytest.mark.parametrize("kind, below, above, inside", [
+        ("inh-los", (0.5, "0.50 m outside 1-150 m"), (150.5, "150.50 m outside 1-150 m"),
+         (1.0, 40.0, 150.0)),
+        ("inf-los", (0.99, "0.99 m outside 1-600 m"), (612.25, "612.25 m outside 1-600 m"),
+         (1.0, 250.0, 600.0)),
+    ])
+    def test_indoor_distance_range_flags(self, kind, below, above, inside):
+        model = PathLossModel(kind, Frequency(F_CAMPAIGN))
+        for d_m, detail in (below, above):
+            assert model.flags(d_m) == (ValidityFlag("distance-out-of-range", detail),)
+        for d_m in inside:
+            assert model.flags(d_m) == ()
 
     def test_cost231_frequency_window_differs(self):
         model = PathLossModel("cost231-hata", Frequency(F_CAMPAIGN), AntennaGeometry(50.0, 1.5), URBAN)

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dectlink.budget import distance_for_path_loss
-from dectlink.campaign import CAPTURE_HEADER, MeasurementSample, load_capture, mean_power_db
+from dectlink.budget import (
+    ENVIRONMENTS,
+    LinkBudget,
+    ReliabilityThresholds,
+    ThresholdUnreachable,
+    distance_for_path_loss,
+    max_link_distance,
+)
+from dectlink.campaign import CAPTURE_HEADER, load_capture, mean_power_db
 from dectlink.config import RunConfig, load_config
 from dectlink.propagation import (
     AREA_CLASSES,
@@ -71,6 +78,29 @@ def test_path_loss_strictly_increases(model, d_m, ratio):
 def test_sweep_matches_scalar_path_loss(model, start_m, span, points, spacing):
     for d_m, pl_db in evaluate_sweep(model, start_m, start_m * span, points, spacing):
         assert pl_db == pytest.approx(model.path_loss(d_m), abs=1e-9)
+
+
+def _reach_m(model, p_tx_dbm, environment, criterion):
+    """The solver's reach at this TX power, or None when unreachable."""
+    try:
+        return max_link_distance(LinkBudget(p_tx_dbm=p_tx_dbm), model, ReliabilityThresholds(),
+                                 environment, criterion)
+    except ThresholdUnreachable:
+        return None
+
+
+@PROPERTY
+@given(models(), st.floats(-60.0, 40.0), st.floats(0.0, 60.0),
+       st.sampled_from(ENVIRONMENTS), st.sampled_from(("rssi", "snr")))
+def test_tx_power_scales_reach_by_the_slope(model, p_tx_dbm, delta_db, environment, criterion):
+    near = _reach_m(model, p_tx_dbm, environment, criterion)
+    far = _reach_m(model, p_tx_dbm + delta_db, environment, criterion)
+    if near is None:
+        return
+    assert far is not None and far >= near
+    if 0.1 < near and far < 1e6:
+        expected = 10.0 ** (delta_db / model.slope_db_per_decade)
+        assert far / near == pytest.approx(expected, rel=1e-9)
 
 
 # ------------------------------------------------------------------ captures
@@ -157,7 +187,7 @@ def capture_path(tmp_path_factory):
 @given(st.data(), capture_rows())
 def test_capture_loads_the_values_written(capture_path, data, rows):
     render_capture(capture_path, *data.draw(capture_text(rows)))
-    assert load_capture(capture_path).samples == tuple(MeasurementSample(*row) for row in rows)
+    assert list(zip(*load_capture(capture_path).columns)) == rows
 
 
 @CAPTURE_PROPERTY
