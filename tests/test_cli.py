@@ -363,6 +363,28 @@ class TestReport:
         assert "Hallila Power Line" in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+_HEIGHTS = ("--h-tx", "10", "--h-rx", "1.5")
+_PLAN_ALL = ("plan", "--environment", "outdoor", "--models", "all", *_HEIGHTS)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (f"plan_outdoor_{tx}dbm.{ext}", (*_PLAN_ALL, "--tx-power", tx, "--format", fmt))
+        for tx in ("-100", "19", "200")
+        for fmt, ext in (("table", "txt"), ("csv", "csv"))
+    ]
+    + [(f"report.{ext}", ("report", *_HEIGHTS, "--format", fmt))
+       for fmt, ext in (("table", "txt"), ("csv", "csv"))],
+)
+def test_output_matches_golden_file(capsys, name, argv):
+    """Unreachable, binding and capped plan rows, and the report, byte for byte."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 def test_import_and_plan_leave_numpy_unloaded():
     """Only fitting needs numpy, so importing dectlink and planning must not load it."""
     script = (
