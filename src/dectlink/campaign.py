@@ -45,8 +45,18 @@ def mean_power_db(values_db: Sequence[float]) -> float:
     if not all(map(math.isfinite, values_db)):
         bad = next(v for v in values_db if not math.isfinite(v))
         raise ValueError(f"mean_power_db got a non-finite value: {bad!r}")
-    linear = math.fsum([10.0 ** (v / 10.0) for v in values_db])
-    return 10.0 * math.log10(linear / len(values_db))
+    try:
+        mean = math.fsum([10.0 ** (v / 10.0) for v in values_db]) / len(values_db)
+    except OverflowError:
+        raise ValueError(
+            f"mean_power_db: {max(values_db)!r} dB overflows the linear domain"
+        ) from None
+    if mean == 0.0:
+        raise ValueError(
+            f"mean_power_db: every value underflows to 0 in the linear domain, "
+            f"the largest being {max(values_db)!r} dB"
+        )
+    return 10.0 * math.log10(mean)
 
 
 def sample_std_db(values_db: Sequence[float]) -> float:
@@ -94,6 +104,8 @@ class LocationCapture:
 
     def __post_init__(self) -> None:
         columns = self.columns
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("capture columns must all have the same length")
         _check_rows(columns, range(len(columns.seq)), "row {}")
         if not self.location_id:
             raise ValueError("location_id must be non-empty")
@@ -108,8 +120,6 @@ class LocationCapture:
             raise ValueError(f"p_tx_dbm must be finite, got {self.p_tx_dbm!r}")
         if self.request_count <= 0:
             raise ValueError(f"request_count must be positive, got {self.request_count!r}")
-        if len(set(map(len, columns))) > 1:
-            raise ValueError("capture columns must all have the same length")
         crc_ok = max(sum(columns.pcc_crc_ok), sum(columns.pdc_crc_ok))
         if crc_ok > self.request_count:
             raise ValueError(
@@ -325,10 +335,10 @@ def read_capture_meta(path: str | Path) -> dict[str, Any]:
     return values
 
 
-def load_capture(csv_path: str | Path, meta_path: str | Path | None = None) -> LocationCapture:
-    """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta by default)."""
+def load_capture(csv_path: str | Path) -> LocationCapture:
+    """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta)."""
     csv_path = Path(csv_path)
-    meta = read_capture_meta(csv_path.with_suffix(".meta") if meta_path is None else meta_path)
+    meta = read_capture_meta(csv_path.with_suffix(".meta"))
     numbers, columns = _read_capture_columns(csv_path)
     try:
         return LocationCapture(**meta, columns=columns)

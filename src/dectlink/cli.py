@@ -119,7 +119,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _parse_model_list(arg: str) -> tuple[str, ...]:
     if arg == "all":
         return MODEL_KINDS
-    kinds = tuple(k.strip() for k in arg.split(",") if k.strip())
+    # Repeats are dropped, keeping the first-seen order.
+    kinds = tuple(dict.fromkeys(k.strip() for k in arg.split(",") if k.strip()))
     if not kinds:
         raise ValueError("no models given")
     for kind in kinds:
@@ -175,10 +176,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records = []
     for path in args.captures:
         try:
-            capture = load_capture(path)
+            records.append(summarize(load_capture(path), budget, thresholds))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        records.append(summarize(capture, budget, thresholds))
     records.sort(key=lambda r: (r.distance_m, r.location_id))
 
     if args.format == "csv":
@@ -247,44 +247,34 @@ def cmd_plan(args: argparse.Namespace) -> int:
         criterion: allowed_path_loss_db(budget, thresholds, args.environment, criterion)
         for criterion in criteria
     }
-    rows: list[tuple[str, str, float, float | None]] = []
+    # One (criterion, allowed_db, reach_m or None if unreachable, binds) record per criterion.
+    # Of two criteria, the one with the shortest reach binds, unreachable counting as 0 m and
+    # ties going to the first; a capped reach never binds, nor does any if none is reachable.
+    plans: dict[str, list[tuple[str, float, float | None, bool]]] = {}
     for kind in kinds:
         model = cfg.model(kind)
+        reaches: dict[str, float | None] = {}
         for criterion, allowed in allowed_by_criterion.items():
             try:
-                d_star = distance_for_path_loss(model, allowed)
+                reaches[criterion] = distance_for_path_loss(model, allowed)
             except ThresholdUnreachable:
-                d_star = None
-            rows.append((kind, criterion, allowed, d_star))
-
-    # The binding criterion per model is the one allowing the shortest reach;
-    # a capped reach is only known to be beyond the cap, so it never binds.
-    binding: dict[str, str] = {}
-    for kind in kinds:
-        candidates = [
-            (d, crit) for k, crit, _, d in rows if k == kind and d is not None and d < SOLVE_CAP_M
-        ]
-        if candidates:
-            binding[kind] = min(candidates)[1]
+                reaches[criterion] = None
+        ranked = {c: d or 0.0 for c, d in reaches.items() if d is None or d < SOLVE_CAP_M}
+        binding = None
+        if len(criteria) > 1 and ranked and any(d is not None for d in reaches.values()):
+            binding = min(ranked, key=ranked.get)
+        plans[kind] = [(c, allowed_by_criterion[c], d, c == binding) for c, d in reaches.items()]
 
     if args.format == "csv":
         csv_rows = [
-            [
-                kind,
-                criterion,
-                _num(allowed),
-                "unreachable" if d_star is None
-                else "capped" if d_star >= SOLVE_CAP_M else _num(d_star),
-                "1" if binding.get(kind) == criterion and len(criteria) > 1 else "0",
-            ]
-            for kind, criterion, allowed, d_star in rows
+            [kind, criterion, _num(allowed),
+             "unreachable" if reach is None else "capped" if reach >= SOLVE_CAP_M else _num(reach),
+             "1" if binds else "0"]
+            for kind, records in plans.items()
+            for criterion, allowed, reach, binds in records
         ]
-        _emit(
-            _csv_text(
-                ["model", "criterion", "allowed_pl_db", "max_distance_m", "binding"], csv_rows
-            ),
-            args.out,
-        )
+        header = ["model", "criterion", "allowed_pl_db", "max_distance_m", "binding"]
+        _emit(_csv_text(header, csv_rows), args.out)
         return 0
 
     lines = [
@@ -292,75 +282,56 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"corrections: +{budget.total_correction_db:.2f} dB   "
         f"noise floor: {noise_floor_dbm(budget):.2f} dBm"
     ]
-    for kind in kinds:
+    for kind, records in plans.items():
         lines.append(f"model {kind}:")
-        for k, criterion, allowed, d_star in rows:
-            if k != kind:
-                continue
-            mark = "  (binding)" if binding.get(kind) == criterion and len(criteria) > 1 else ""
-            if d_star is None:
-                reach = "unreachable (loss already above budget at minimum range)"
-            elif d_star >= SOLVE_CAP_M:
-                reach = f"capped (beyond the solver's {SOLVE_CAP_M:.0f} m limit)"
+        for criterion, allowed, reach, binds in records:
+            if reach is None:
+                text = "unreachable (loss already above budget at minimum range)"
+            elif reach >= SOLVE_CAP_M:
+                text = f"capped (beyond the solver's {SOLVE_CAP_M:.0f} m limit)"
             else:
-                reach = f"{d_star:.2f} m{mark}"
-            lines.append(f"  {criterion}: allowed PL {allowed:.2f} dB -> {reach}")
+                text = f"{reach:.2f} m"
+            mark = "  (binding)" if binds else ""
+            lines.append(f"  {criterion}: allowed PL {allowed:.2f} dB -> {text}{mark}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    tolerance = args.tolerance
     geometry = cfg.geometry()
-    rows_out: list[list[str]] = []
-    human: list[str] = []
-
-    header = ["scenario", "distance_m", "emp_pcc_db", "emp_pdc_db"]
-    for kind, _ in _REPORT_MODEL_COLUMNS:
-        stem = kind.replace("-", "_")
-        header += [
-            f"{stem}_published_db",
-            f"{stem}_computed_db",
-            f"{stem}_delta_db",
-            f"{stem}_status",
-        ]
-
+    models = {
+        kind: cfg.model(kind)
+        for kind, _ in _REPORT_MODEL_COLUMNS
+        if kind not in GEOMETRY_KINDS or geometry is not None
+    }
+    header = ["scenario", "distance_m", "emp_pcc_db", "emp_pdc_db"] + [
+        f"{kind.replace('-', '_')}_{column}"
+        for kind, _ in _REPORT_MODEL_COLUMNS
+        for column in ("published_db", "computed_db", "delta_db", "status")
+    ]
+    rows: list[list[str]] = []
+    lines: list[str] = []
     for row in load_pathloss_comparison():
         out = [row.scenario, _num(row.distance_m), _num(row.emp_pcc_db), _num(row.emp_pdc_db)]
-        notes = []
+        lines.append(f"{row.scenario} at {row.distance_m:.2f} m:")
         for kind, attr in _REPORT_MODEL_COLUMNS:
             published = getattr(row, attr)
-            computed: float | None = None
-            if kind not in GEOMETRY_KINDS or geometry is not None:
-                computed = cfg.model(kind).path_loss(row.distance_m)
-            delta = (
-                computed - published if computed is not None and published is not None else None
-            )
-            if delta is None:
-                status = ""
-            elif abs(delta) <= tolerance:
-                status = "ok"
-            else:
-                status = "inconsistent"
-            out += [_num(published), _num(computed), _num(delta), status]
-            if delta is not None:
-                marker = "" if status == "ok" else "  INCONSISTENT"
-                notes.append(
-                    f"  {kind}: published {published:.2f} dB, computed {computed:.2f} dB, "
-                    f"delta {delta:+.2f} dB{marker}"
-                )
-            elif published is not None and computed is None:
-                notes.append(f"  {kind}: published {published:.2f} dB, not computed "
-                             f"(set --h-tx/--h-rx to compare)")
-        rows_out.append(out)
-        human.append(f"{row.scenario} at {row.distance_m:.2f} m:")
-        human.extend(notes)
+            computed = models[kind].path_loss(row.distance_m) if kind in models else None
+            if computed is None or published is None:
+                out += [_num(published), _num(computed), "", ""]
+                if published is not None:
+                    lines.append(f"  {kind}: published {published:.2f} dB, not computed "
+                                 "(set --h-tx/--h-rx to compare)")
+                continue
+            delta = computed - published
+            ok = abs(delta) <= args.tolerance
+            out += [_num(published), _num(computed), _num(delta), "ok" if ok else "inconsistent"]
+            lines.append(f"  {kind}: published {published:.2f} dB, computed {computed:.2f} dB, "
+                         f"delta {delta:+.2f} dB{'' if ok else '  INCONSISTENT'}")
+        rows.append(out)
 
-    if args.format == "csv":
-        _emit(_csv_text(header, rows_out), args.out)
-    else:
-        _emit("\n".join(human) + "\n", args.out)
+    _emit(_csv_text(header, rows) if args.format == "csv" else "\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -61,6 +61,17 @@ class TestMeanPowerDb:
         with pytest.raises(ValueError):
             mean_power_db([float("-inf")])
 
+    def test_values_out_of_range_in_the_linear_domain_are_named(self):
+        with pytest.raises(ValueError, match=r"^mean_power_db: 4000.0 dB overflows"):
+            mean_power_db([-80.0, 4000.0])
+        # each term is finite, their sum is not
+        with pytest.raises(ValueError, match=r"^mean_power_db: 3080.0 dB overflows"):
+            mean_power_db([3080.0, 3080.0])
+        with pytest.raises(ValueError, match=r"underflows to 0 .* the largest being -3300.0 dB$"):
+            mean_power_db([-4000.0, -3300.0])
+        # the smallest mean that does not underflow keeps today's arithmetic
+        assert mean_power_db([-3230.0]) == 10.0 * math.log10(10.0 ** -323.0)
+
     def test_jensen_and_bounds_on_random_lists(self):
         """Linear-domain mean sits at or above the dB mean, inside [min, max]."""
         rng = random.Random(5)
@@ -201,6 +212,12 @@ class TestCaptureValidation:
                                  (True, True), (True, True))
         with pytest.raises(ValueError, match=r"^row 1: duplicate seq 0"):
             LocationCapture("x", 40.0, "los-indoor", 0.0, 2, columns=columns)
+
+    def test_ragged_columns_are_rejected_before_the_row_rules(self):
+        rows = [make_sample(seq=0), make_sample(seq=1)]
+        columns = CaptureColumns(*zip(*rows))._replace(seq=(0, 1, 1))
+        with pytest.raises(ValueError, match="^capture columns must all have the same length$"):
+            dataclasses.replace(make_capture(rows), columns=columns)
 
     def test_setting_and_propagation_split(self):
         cap = make_capture([make_sample()], environment="nlos-outdoor")

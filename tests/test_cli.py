@@ -30,6 +30,10 @@ def parse_csv(text):
     return header, body
 
 
+HEIGHTS = ("--h-tx", "10", "--h-rx", "1.5")
+PLAN_ALL = ("plan", "--environment", "outdoor", "--models", "all", *HEIGHTS)
+
+
 class TestModelEval:
     def test_fspl_reference_point(self, capsys):
         code, out, err = run_cli(capsys, "model", "eval", "--model", "fspl",
@@ -118,6 +122,14 @@ class TestModelSweep:
                                "--start", "1", "--end", "10", "--points", "2")
         assert code == 2
         assert "psychic" in err
+
+    def test_repeated_models_give_one_column(self, capsys):
+        code, out, _ = run_cli(capsys, "model", "sweep", "--models", "fspl,inh-los,fspl",
+                               "--start", "1", "--end", "10", "--points", "2")
+        assert code == 0
+        header, body = parse_csv(out)
+        assert header == ["distance_m", "fspl_db", "inh-los_db"]
+        assert all(len(row) == 3 for row in body)
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
@@ -218,6 +230,28 @@ class TestAnalyze:
             f"{name}: 2 RSSI value(s) above 10 dBm, the first at seq=1; check the capture"
             for name in ("a", "b")
         ]
+
+
+    @pytest.mark.parametrize("rssi, text", [
+        (4000.0, "mean_power_db: 4000.0 dB overflows the linear domain"),
+        (-4000.0, "mean_power_db: every value underflows to 0 in the linear domain, "
+                  "the largest being -4000.0 dB"),
+    ], ids=("overflow", "underflow"))
+    def test_power_mean_out_of_range_is_usage_error(self, capsys, tmp_path, rssi, text):
+        rows = [(i, rssi, -80.0, 10.0, 1, 1) for i in range(3)]
+        path = write_capture(tmp_path, "far", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 4000 dBm is also a glitch
+            code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {text}\n"
+
+    def test_short_row_is_usage_error(self, capsys, tmp_path):
+        path = write_capture(tmp_path, "short", [(0, -80.0, -80.0, 10.0, 1, 1)])
+        path.write_text(path.read_text() + "1,-81,9,1\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: line 3: expected 6 columns, got 4\n"
 
 
 class TestFit:
@@ -329,6 +363,43 @@ class TestPlan:
         assert body == [["fspl", "rssi", "297.0", "capped", "0"]]
 
 
+    def test_an_unreachable_criterion_binds(self, capsys):
+        code, out, _ = run_cli(capsys, *PLAN_ALL, "--tx-power", "-100", "--format", "csv")
+        assert code == 0
+        _, body = parse_csv(out)
+        binding = {(row[0], row[1]): (row[3], row[4]) for row in body}
+        assert binding["cost231-hata", "rssi"] == ("0.12580240462714082", "0")
+        assert binding["cost231-hata", "snr"] == ("unreachable", "1")
+        # with every criterion unreachable, none binds
+        assert binding["fspl", "rssi"] == binding["fspl", "snr"] == ("unreachable", "0")
+
+    def test_an_unreachable_criterion_binds_over_a_capped_one(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--environment", "outdoor", "--tx-power", "200",
+                               "--snr-floor-outdoor", "400", "--format", "csv")
+        assert code == 0
+        _, body = parse_csv(out)
+        assert [row[3:] for row in body] == [["capped", "0"], ["unreachable", "1"]]
+        code, out, _ = run_cli(capsys, "plan", "--environment", "outdoor", "--tx-power", "200",
+                               "--snr-floor-outdoor", "400")
+        assert out.endswith("-> unreachable (loss already above budget at minimum range)"
+                            "  (binding)\n")
+
+    def test_one_criterion_never_binds(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--environment", "outdoor", "--tx-power", "-100",
+                               "--criterion", "snr", "--format", "csv")
+        assert code == 0
+        assert parse_csv(out)[1] == [["fspl", "snr", "-9.875437381428753", "unreachable", "0"]]
+
+    def test_repeated_models_are_planned_once(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--environment", "indoor",
+                               "--models", "fspl,inh-los,fspl")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("model ")] == [
+            "model fspl:", "model inh-los:"
+        ]
+        assert len(out.splitlines()) == 7
+
+
 class TestReport:
     def test_fspl_regression_and_flagging(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--format", "csv")
@@ -364,23 +435,18 @@ class TestReport:
 
 
 GOLDEN = Path(__file__).parent / "golden"
-_HEIGHTS = ("--h-tx", "10", "--h-rx", "1.5")
-_PLAN_ALL = ("plan", "--environment", "outdoor", "--models", "all", *_HEIGHTS)
+_FORMATS = (("table", "txt"), ("csv", "csv"))
+GOLDEN_RUNS = {
+    f"plan_outdoor_{tx}dbm.{ext}": (*PLAN_ALL, "--tx-power", tx, "--format", fmt)
+    for tx in ("-100", "19", "200")
+    for fmt, ext in _FORMATS
+} | {f"report.{ext}": ("report", *HEIGHTS, "--format", fmt) for fmt, ext in _FORMATS}
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        (f"plan_outdoor_{tx}dbm.{ext}", (*_PLAN_ALL, "--tx-power", tx, "--format", fmt))
-        for tx in ("-100", "19", "200")
-        for fmt, ext in (("table", "txt"), ("csv", "csv"))
-    ]
-    + [(f"report.{ext}", ("report", *_HEIGHTS, "--format", fmt))
-       for fmt, ext in (("table", "txt"), ("csv", "csv"))],
-)
-def test_output_matches_golden_file(capsys, name, argv):
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_output_matches_golden_file(capsys, name):
     """Unreachable, binding and capped plan rows, and the report, byte for byte."""
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
