@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .propagation import PathLossModel
+from .propagation import PathLossModel, _require_choice, _require_finite, _require_positive
 
 ENVIRONMENTS = ("indoor", "outdoor")
 
@@ -24,10 +24,10 @@ class ThresholdUnreachable(Exception):
     """No positive distance satisfies the requested threshold."""
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require_percent(name: str, value: float) -> float:
     value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 <= value <= 100.0:  # NaN fails this too
+        raise ValueError(f"{name} must be in [0, 100], got {value!r}")
     return value
 
 
@@ -47,13 +47,11 @@ class LinkBudget:
     noise_figure_db: float = 10.0
 
     def __post_init__(self) -> None:
-        _require_finite("p_tx_dbm", self.p_tx_dbm)
-        _require_finite("side_correction_tx_db", self.side_correction_tx_db)
-        _require_finite("side_correction_rx_db", self.side_correction_rx_db)
-        bw = float(self.bandwidth_hz)
-        if not math.isfinite(bw) or bw <= 0.0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz!r}")
-        _require_finite("noise_figure_db", self.noise_figure_db)
+        for name in (
+            "p_tx_dbm", "side_correction_tx_db", "side_correction_rx_db", "noise_figure_db"
+        ):
+            _require_finite(name, getattr(self, name))
+        _require_positive("bandwidth_hz", self.bandwidth_hz)
 
     @property
     def total_correction_db(self) -> float:
@@ -75,9 +73,7 @@ class ReliabilityThresholds:
     snr_floor_outdoor_db: float = 13.5
 
     def __post_init__(self) -> None:
-        sr = float(self.min_success_rate)
-        if not math.isfinite(sr) or not 0.0 <= sr <= 100.0:
-            raise ValueError(f"min_success_rate must be in [0, 100], got {self.min_success_rate!r}")
+        _require_percent("min_success_rate", self.min_success_rate)
         for name in (
             "rssi_floor_indoor_dbm",
             "rssi_floor_outdoor_dbm",
@@ -87,25 +83,17 @@ class ReliabilityThresholds:
             _require_finite(name, getattr(self, name))
 
     def rssi_floor_dbm(self, environment: str) -> float:
-        _check_environment(environment)
+        _require_choice("environment", environment, ENVIRONMENTS)
         return self.rssi_floor_indoor_dbm if environment == "indoor" else self.rssi_floor_outdoor_dbm
 
     def snr_floor_db(self, environment: str) -> float:
-        _check_environment(environment)
+        _require_choice("environment", environment, ENVIRONMENTS)
         return self.snr_floor_indoor_db if environment == "indoor" else self.snr_floor_outdoor_db
-
-
-def _check_environment(environment: str) -> None:
-    if environment not in ENVIRONMENTS:
-        raise ValueError(f"environment must be one of {ENVIRONMENTS}, got {environment!r}")
 
 
 def is_reliable(success_rate_pct: float, thresholds: ReliabilityThresholds) -> bool:
     """True iff the success rate strictly exceeds the configured minimum."""
-    sr = _require_finite("success_rate_pct", success_rate_pct)
-    if not 0.0 <= sr <= 100.0:
-        raise ValueError(f"success_rate_pct must be in [0, 100], got {success_rate_pct!r}")
-    return sr > thresholds.min_success_rate
+    return _require_percent("success_rate_pct", success_rate_pct) > thresholds.min_success_rate
 
 
 def empirical_pl(p_tx_dbm: float, p_rx_dbm: float, budget: LinkBudget) -> float:
@@ -173,7 +161,6 @@ def allowed_path_loss_db(
     criterion "rssi" budgets against the environment's RSSI floor, "snr"
     against the SNR floor sitting on top of the receiver noise floor.
     """
-    _check_environment(environment)
     if criterion == "rssi":
         floor = thresholds.rssi_floor_dbm(environment)
     elif criterion == "snr":

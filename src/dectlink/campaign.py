@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
+from .propagation import _require_finite, _require_positive
 from .tabular import field_parsers, float_column, int_column, parse_key_values, read_table
 
 _ENVIRONMENT_RE = re.compile(r"^(los|nlos)-(indoor|outdoor)$")
@@ -109,15 +110,13 @@ class LocationCapture:
         _check_rows(columns, range(len(columns.seq)), "row {}")
         if not self.location_id:
             raise ValueError("location_id must be non-empty")
-        if not math.isfinite(self.distance_m) or self.distance_m <= 0.0:
-            raise ValueError(f"distance_m must be positive, got {self.distance_m!r}")
+        _require_positive("distance_m", self.distance_m)
         if not _ENVIRONMENT_RE.match(self.environment):
             raise ValueError(
                 "environment must look like 'los-indoor' or 'nlos-outdoor', "
                 f"got {self.environment!r}"
             )
-        if not math.isfinite(self.p_tx_dbm):
-            raise ValueError(f"p_tx_dbm must be finite, got {self.p_tx_dbm!r}")
+        _require_finite("p_tx_dbm", self.p_tx_dbm)
         if self.request_count <= 0:
             raise ValueError(f"request_count must be positive, got {self.request_count!r}")
         crc_ok = max(sum(columns.pcc_crc_ok), sum(columns.pdc_crc_ok))

@@ -33,7 +33,9 @@ from .campaign import CampaignRecord, load_capture, max_reliable_distance, summa
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .fitting import fit_log_distance, fit_log_distance_iterative
 from .fixtures import load_pathloss_comparison
-from .propagation import AREA_CLASSES, CITY_SIZES, GEOMETRY_KINDS, MODEL_KINDS, evaluate_sweep
+from .propagation import (
+    AREA_CLASSES, CITY_SIZES, GEOMETRY_KINDS, MODEL_KINDS, _require_finite, evaluate_sweep,
+)
 from .tabular import float_column, read_table
 
 _CONFIG_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
@@ -279,7 +281,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     lines = [
         f"environment: {args.environment}   tx power: {budget.p_tx_dbm:.2f} dBm   "
-        f"corrections: +{budget.total_correction_db:.2f} dB   "
+        f"corrections: {budget.total_correction_db:+.2f} dB   "
         f"noise floor: {noise_floor_dbm(budget):.2f} dBm"
     ]
     for kind, records in plans.items():
@@ -298,6 +300,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    # No delta meets a negative or NaN tolerance, and every delta meets an infinite one.
+    if _require_finite("tolerance", args.tolerance) < 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {args.tolerance!r}")
     cfg = _resolve_config(args)
     geometry = cfg.geometry()
     models = {

@@ -14,14 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .budget import LinkBudget, ReliabilityThresholds
-from .propagation import (
-    GEOMETRY_KINDS,
-    HATA_KINDS,
-    AntennaGeometry,
-    Frequency,
-    HataEnvironment,
-    PathLossModel,
-)
+from .propagation import HATA_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel
 from .tabular import field_parsers, parse_key_values
 
 CONFIG_ENV_VAR = "DECTLINK_CONFIG"
@@ -32,25 +25,26 @@ class RunConfig:
     """Everything a planning or analysis run needs, in one flat record.
 
     Antenna heights default to None: models that need geometry must be
-    given it explicitly rather than silently assuming heights.
+    given it explicitly rather than silently assuming heights. Every other
+    default but the carrier is the default of the component it feeds.
     """
 
     frequency_hz: float = 1899e6
-    bandwidth_hz: float = 1.728e6
-    tx_power_dbm: float = 0.0
-    correction_tx_db: float = 1.0
-    correction_rx_db: float = 1.0
-    noise_figure_db: float = 10.0
-    min_success_rate: float = 90.0
-    rssi_floor_indoor_dbm: float = -90.0
-    rssi_floor_outdoor_dbm: float = -95.0
-    snr_floor_indoor_db: float = 11.5
-    snr_floor_outdoor_db: float = 13.5
+    bandwidth_hz: float = LinkBudget.bandwidth_hz
+    tx_power_dbm: float = LinkBudget.p_tx_dbm
+    correction_tx_db: float = LinkBudget.side_correction_tx_db
+    correction_rx_db: float = LinkBudget.side_correction_rx_db
+    noise_figure_db: float = LinkBudget.noise_figure_db
+    min_success_rate: float = ReliabilityThresholds.min_success_rate
+    rssi_floor_indoor_dbm: float = ReliabilityThresholds.rssi_floor_indoor_dbm
+    rssi_floor_outdoor_dbm: float = ReliabilityThresholds.rssi_floor_outdoor_dbm
+    snr_floor_indoor_db: float = ReliabilityThresholds.snr_floor_indoor_db
+    snr_floor_outdoor_db: float = ReliabilityThresholds.snr_floor_outdoor_db
     h_tx_m: float | None = None
     h_rx_m: float | None = None
-    antenna_gain: float = 1.0
-    city_size: str = "small-medium"
-    area_class: str = "urban"
+    antenna_gain: float = AntennaGeometry.combined_gain
+    city_size: str = HataEnvironment.city_size
+    area_class: str = HataEnvironment.area_class
 
     def budget(self) -> LinkBudget:
         return LinkBudget(
@@ -85,15 +79,10 @@ class RunConfig:
         Raises ValueError when the kind needs geometry and no heights are
         configured.
         """
-        geometry = self.geometry()
-        if kind in GEOMETRY_KINDS and geometry is None:
-            raise ValueError(
-                f"model {kind!r} needs antenna heights; set h_tx_m and h_rx_m"
-            )
         return PathLossModel(
             kind=kind,
             frequency=Frequency(self.frequency_hz),
-            geometry=geometry,
+            geometry=self.geometry(),
             environment=self.hata_environment() if kind in HATA_KINDS else None,
         )
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from .propagation import _require_finite, _require_positive
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -32,16 +34,12 @@ class LogDistanceModel:
     d0_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.pl0_db):
-            raise ValueError(f"pl0_db must be finite, got {self.pl0_db!r}")
-        if not math.isfinite(self.exponent):
-            raise ValueError(f"exponent must be finite, got {self.exponent!r}")
-        if not math.isfinite(self.d0_m) or self.d0_m <= 0.0:
-            raise ValueError(f"d0_m must be positive, got {self.d0_m!r}")
+        _require_finite("pl0_db", self.pl0_db)
+        _require_finite("exponent", self.exponent)
+        _require_positive("d0_m", self.d0_m)
 
     def path_loss(self, d_m: float) -> float:
-        if not math.isfinite(d_m) or d_m <= 0.0:
-            raise ValueError(f"distance must be positive, got {d_m!r}")
+        d_m = _require_positive("distance", d_m)
         return self.pl0_db + 10.0 * self.exponent * math.log10(d_m / self.d0_m)
 
 
@@ -95,8 +93,7 @@ def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -
     no iteration, no starting guess, no numpy. Requires at least two
     distinct distances, otherwise the slope is undetermined.
     """
-    if not math.isfinite(d0_m) or d0_m <= 0.0:
-        raise ValueError(f"d0_m must be positive, got {d0_m!r}")
+    _require_positive("d0_m", d0_m)
     d, y = _validated_points(points, distinct=True)
 
     x = [10.0 * math.log10(v / d0_m) for v in d]
@@ -227,8 +224,7 @@ def fit_log_distance_iterative(
     initial: Sequence[float] = (40.0, 2.0),
 ) -> FitResult:
     """Log-distance fit through the general engine; must agree with the closed form."""
-    if not math.isfinite(d0_m) or d0_m <= 0.0:
-        raise ValueError(f"d0_m must be positive, got {d0_m!r}")
+    _require_positive("d0_m", d0_m)
     _validated_points(points, distinct=True)
 
     result = fit_general(

@@ -27,10 +27,24 @@ HATA_DISTANCE_RANGE_KM = (1.0, 20.0)
 INDOOR_DISTANCE_RANGE_M = {"inh-los": (1.0, 150.0), "inf-los": (1.0, 600.0)}
 
 
+# The package's input rules, one helper each; every module checks its inputs with these.
+def _require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _require_positive(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _require_choice(name: str, value: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value
 
 
@@ -91,10 +105,8 @@ class HataEnvironment:
     area_class: str = "urban"
 
     def __post_init__(self) -> None:
-        if self.city_size not in CITY_SIZES:
-            raise ValueError(f"city_size must be one of {CITY_SIZES}, got {self.city_size!r}")
-        if self.area_class not in AREA_CLASSES:
-            raise ValueError(f"area_class must be one of {AREA_CLASSES}, got {self.area_class!r}")
+        _require_choice("city_size", self.city_size, CITY_SIZES)
+        _require_choice("area_class", self.area_class, AREA_CLASSES)
 
     @property
     def area_correction_db(self) -> float:
@@ -257,10 +269,9 @@ class PathLossModel:
     slope_db_per_decade: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        _require_choice("model kind", self.kind, MODEL_KINDS)
         if self.kind in GEOMETRY_KINDS and self.geometry is None:
-            raise ValueError(f"model {self.kind!r} requires antenna geometry (TX/RX heights)")
+            raise ValueError(f"model {self.kind!r} needs antenna heights; set h_tx_m and h_rx_m")
         if self.kind in HATA_KINDS and self.environment is None:
             raise ValueError(f"model {self.kind!r} requires a Hata environment")
         free = _FREE_FUNCTIONS[self.kind]
@@ -328,8 +339,7 @@ def evaluate_sweep(
         raise ValueError(f"d_start ({d_start_m}) must be below d_end ({d_end_m})")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    if spacing not in ("linear", "log"):
-        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    _require_choice("spacing", spacing, ("linear", "log"))
 
     last = points - 1
     if spacing == "linear":

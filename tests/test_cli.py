@@ -217,6 +217,19 @@ class TestAnalyze:
         assert code == 0
         assert "max reliable distance: 61.00 m (good)" in out
 
+    def test_table_says_when_no_location_is_reliable(self, capsys, tmp_path):
+        path = write_capture(tmp_path, "weak", [(i, -99.0, -99.0, 3.0, 1, 0) for i in range(50)])
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        assert out.endswith("max reliable distance: none (no location clears the threshold)\n")
+
+    def test_request_count_below_crc_ok_rows_is_usage_error(self, capsys, tmp_path):
+        path = write_capture(tmp_path, "short", [(i, -80.0, -80.0, 10.0, 1, 1) for i in range(5)],
+                             request_count=1)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: request_count 1 is below the number of CRC-ok rows (5)\n"
+
     def test_each_glitchy_capture_warns_under_default_filters(self, capsys, tmp_path):
         # Same glitch in two captures: Python's "default" action shows a given text
         # from one source line once, so the texts must differ by capture.
@@ -390,6 +403,17 @@ class TestPlan:
         assert code == 0
         assert parse_csv(out)[1] == [["fspl", "snr", "-9.875437381428753", "unreachable", "0"]]
 
+    def test_empty_model_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--environment", "outdoor", "--models", ",")
+        assert code == 2 and out == ""
+        assert err == "error: no models given\n"
+
+    def test_negative_corrections_print_one_sign(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--environment", "indoor",
+                               "--correction-tx", "-3", "--correction-rx", "0")
+        assert code == 0
+        assert "   corrections: -3.00 dB   " in out.splitlines()[0]
+
     def test_repeated_models_are_planned_once(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--environment", "indoor",
                                "--models", "fspl,inh-los,fspl")
@@ -426,6 +450,23 @@ class TestReport:
         assert float(rows["Hallila Power Line"]["two_ray_computed_db"]) == pytest.approx(
             88.99, abs=0.01
         )
+
+    @pytest.mark.parametrize("tolerance, message", [
+        ("-1", "tolerance must be >= 0, got -1.0"),
+        ("nan", "tolerance must be finite, got nan"),
+        ("inf", "tolerance must be finite, got inf"),
+    ], ids=("negative", "nan", "inf"))
+    def test_tolerance_must_be_finite_and_not_negative(self, capsys, tolerance, message):
+        code, out, err = run_cli(capsys, "report", "--tolerance", tolerance, "--format", "csv")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--tolerance", "0", "--format", "csv")
+        assert code == 0
+        header, body = parse_csv(out)
+        rows = {row[0]: dict(zip(header, row)) for row in body}
+        assert rows["Kaukajarvi Lake"]["fspl_status"] == "inconsistent"
 
     def test_human_format_marks_inconsistencies(self, capsys):
         code, out, _ = run_cli(capsys, "report")

@@ -58,6 +58,10 @@ class TestLogDistanceModel:
         with pytest.raises(ValueError):
             LogDistanceModel(38.0, 2.0).path_loss(-5.0)
 
+    def test_exponent_must_be_finite(self):
+        with pytest.raises(ValueError, match="^exponent must be finite, got nan$"):
+            LogDistanceModel(38.0, float("nan"))
+
 
 class TestClosedForm:
     def test_two_point_interpolation(self):
@@ -176,6 +180,10 @@ class TestGeneralEngine:
             fit_general(log_distance_curve, np.array([[38.0], [2.7]]), pts)
         with pytest.raises(ValueError):
             fit_general(lambda t, d: np.full_like(d, np.nan), np.array([1.0]), pts)
+
+    def test_reference_distance_must_be_positive(self):
+        with pytest.raises(ValueError, match="^d0_m must be a positive finite number, got 0.0$"):
+            fit_log_distance_iterative(synth_points(), d0_m=0)
 
     def test_result_shape(self):
         result = fit_log_distance_iterative(synth_points(sigma=0.5, seed=2))
