@@ -15,6 +15,7 @@ import dectlink
 from dectlink.cli import main
 from dectlink.config import CONFIG_ENV_VAR
 
+import golden_runs
 from conftest import synth_capture_rows, write_capture
 
 
@@ -490,6 +491,14 @@ def test_output_matches_golden_file(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", golden_runs.RUNS)
+def test_run_matches_golden_transcript(tmp_path, name):
+    """Exit code, stdout, stderr and --out file of a fresh CLI process, byte for byte."""
+    golden_runs.prepare(tmp_path)
+    expected = (golden_runs.GOLDEN_RUNS_DIR / f"{name}.txt").read_bytes()
+    assert golden_runs.transcript(name, tmp_path).decode() == expected.decode()
 
 
 def test_import_and_plan_leave_numpy_unloaded():
