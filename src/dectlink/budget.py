@@ -47,11 +47,11 @@ class LinkBudget:
     noise_figure_db: float = 10.0
 
     def __post_init__(self) -> None:
+        _require_positive("bandwidth_hz", self.bandwidth_hz)
         for name in (
             "p_tx_dbm", "side_correction_tx_db", "side_correction_rx_db", "noise_figure_db"
         ):
             _require_finite(name, getattr(self, name))
-        _require_positive("bandwidth_hz", self.bandwidth_hz)
 
     @property
     def total_correction_db(self) -> float:

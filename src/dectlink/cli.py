@@ -17,6 +17,7 @@ import csv
 import io
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
@@ -38,7 +39,25 @@ from .propagation import (
 )
 from .tabular import float_column, read_table
 
-_CONFIG_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
+# One flag per RunConfig field, in --help order: (flag, metavar or choices, help).
+_CONFIG_FLAGS = {
+    "frequency_hz": ("--f", "HZ", "carrier frequency in Hz (e.g. 1.899e9)"),
+    "bandwidth_hz": ("--bandwidth", "HZ", "channel bandwidth in Hz"),
+    "tx_power_dbm": ("--tx-power", "DBM", "transmit power in dBm"),
+    "correction_tx_db": ("--correction-tx", "DB", "TX-side gain-minus-loss correction in dB"),
+    "correction_rx_db": ("--correction-rx", "DB", "RX-side gain-minus-loss correction in dB"),
+    "noise_figure_db": ("--noise-figure", "DB", "receiver noise figure in dB"),
+    "min_success_rate": ("--min-sr", "PCT", "success-rate floor in percent (strict)"),
+    "rssi_floor_indoor_dbm": ("--rssi-floor-indoor", "DBM", "indoor RSSI floor in dBm"),
+    "rssi_floor_outdoor_dbm": ("--rssi-floor-outdoor", "DBM", "outdoor RSSI floor in dBm"),
+    "snr_floor_indoor_db": ("--snr-floor-indoor", "DB", "indoor SNR floor in dB"),
+    "snr_floor_outdoor_db": ("--snr-floor-outdoor", "DB", "outdoor SNR floor in dB"),
+    "h_tx_m": ("--h-tx", "M", "TX antenna height in m (required by two-ray and Hata models)"),
+    "h_rx_m": ("--h-rx", "M", "RX antenna height in m (required by two-ray and Hata models)"),
+    "antenna_gain": ("--antenna-gain", "G", "combined linear antenna gain for the two-ray model"),
+    "city_size": ("--city-size", CITY_SIZES, "Hata mobile-height correction variant"),
+    "area_class": ("--area-class", AREA_CLASSES, "COST-231 area term"),
+}
 
 _REPORT_MODEL_COLUMNS = (
     ("fspl", "fspl_db"),
@@ -79,43 +98,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         f"The config file path may also come from ${CONFIG_ENV_VAR}.",
     )
     g.add_argument("--config", metavar="PATH", help="key=value config file")
-    g.add_argument("--f", dest="frequency_hz", type=float, metavar="HZ",
-                   help="carrier frequency in Hz (e.g. 1.899e9)")
-    g.add_argument("--bandwidth", dest="bandwidth_hz", type=float, metavar="HZ",
-                   help="channel bandwidth in Hz")
-    g.add_argument("--tx-power", dest="tx_power_dbm", type=float, metavar="DBM",
-                   help="transmit power in dBm")
-    g.add_argument("--correction-tx", dest="correction_tx_db", type=float, metavar="DB",
-                   help="TX-side gain-minus-loss correction in dB")
-    g.add_argument("--correction-rx", dest="correction_rx_db", type=float, metavar="DB",
-                   help="RX-side gain-minus-loss correction in dB")
-    g.add_argument("--noise-figure", dest="noise_figure_db", type=float, metavar="DB",
-                   help="receiver noise figure in dB")
-    g.add_argument("--min-sr", dest="min_success_rate", type=float, metavar="PCT",
-                   help="success-rate floor in percent (strict)")
-    g.add_argument("--rssi-floor-indoor", dest="rssi_floor_indoor_dbm", type=float,
-                   metavar="DBM", help="indoor RSSI floor in dBm")
-    g.add_argument("--rssi-floor-outdoor", dest="rssi_floor_outdoor_dbm", type=float,
-                   metavar="DBM", help="outdoor RSSI floor in dBm")
-    g.add_argument("--snr-floor-indoor", dest="snr_floor_indoor_db", type=float,
-                   metavar="DB", help="indoor SNR floor in dB")
-    g.add_argument("--snr-floor-outdoor", dest="snr_floor_outdoor_db", type=float,
-                   metavar="DB", help="outdoor SNR floor in dB")
-    g.add_argument("--h-tx", dest="h_tx_m", type=float, metavar="M",
-                   help="TX antenna height in m (required by two-ray and Hata models)")
-    g.add_argument("--h-rx", dest="h_rx_m", type=float, metavar="M",
-                   help="RX antenna height in m (required by two-ray and Hata models)")
-    g.add_argument("--antenna-gain", dest="antenna_gain", type=float, metavar="G",
-                   help="combined linear antenna gain for the two-ray model")
-    g.add_argument("--city-size", dest="city_size", choices=CITY_SIZES,
-                   help="Hata mobile-height correction variant")
-    g.add_argument("--area-class", dest="area_class", choices=AREA_CLASSES,
-                   help="COST-231 area term")
+    for name, (flag, shape, text) in _CONFIG_FLAGS.items():
+        kind = {"choices": shape} if isinstance(shape, tuple) else {"type": float, "metavar": shape}
+        g.add_argument(flag, dest=name, help=text, **kind)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
-    return load_config(path, {name: getattr(args, name, None) for name in _CONFIG_FIELD_NAMES})
+    return load_config(path, {name: getattr(args, name) for name in _CONFIG_FLAGS})
 
 
 def _parse_model_list(arg: str) -> tuple[str, ...]:
@@ -414,6 +404,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A library warning prints as one line, with no source path or code line.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         return args.handler(args)
     except (ValueError, OSError, ThresholdUnreachable) as exc:
@@ -422,6 +415,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -9,12 +9,14 @@ reads them; DECTLINK_CONFIG names a default file path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .budget import LinkBudget, ReliabilityThresholds
-from .propagation import HATA_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel
+from .propagation import (
+    HATA_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel, _require_positive,
+)
 from .tabular import field_parsers, parse_key_values
 
 CONFIG_ENV_VAR = "DECTLINK_CONFIG"
@@ -27,6 +29,7 @@ class RunConfig:
     Antenna heights default to None: models that need geometry must be
     given it explicitly rather than silently assuming heights. Every other
     default but the carrier is the default of the component it feeds.
+    Construction checks every value and builds each component once.
     """
 
     frequency_hz: float = 1899e6
@@ -46,45 +49,50 @@ class RunConfig:
     city_size: str = HataEnvironment.city_size
     area_class: str = HataEnvironment.area_class
 
+    def __post_init__(self) -> None:
+        # Each component is built once, in field order, so the first bad field is reported; each
+        # height is checked when set, the gain always. Thresholds fields are RunConfig fields.
+        built = {
+            "_frequency": Frequency(self.frequency_hz),
+            "_budget": LinkBudget(
+                p_tx_dbm=self.tx_power_dbm, side_correction_tx_db=self.correction_tx_db,
+                side_correction_rx_db=self.correction_rx_db, bandwidth_hz=self.bandwidth_hz,
+                noise_figure_db=self.noise_figure_db,
+            ),
+            "_thresholds": ReliabilityThresholds(
+                **{f.name: getattr(self, f.name) for f in fields(ReliabilityThresholds)}
+            ),
+        }
+        heights = (self.h_tx_m, self.h_rx_m)
+        for name, height in zip(("h_tx_m", "h_rx_m"), heights):
+            if height is not None:
+                _require_positive(name, height)
+        gain = _require_positive("antenna_gain", self.antenna_gain)
+        built["_geometry"] = None if None in heights else AntennaGeometry(*heights, gain)
+        built["_environment"] = HataEnvironment(self.city_size, self.area_class)
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
     def budget(self) -> LinkBudget:
-        return LinkBudget(
-            p_tx_dbm=self.tx_power_dbm,
-            side_correction_tx_db=self.correction_tx_db,
-            side_correction_rx_db=self.correction_rx_db,
-            bandwidth_hz=self.bandwidth_hz,
-            noise_figure_db=self.noise_figure_db,
-        )
+        return self._budget
 
     def thresholds(self) -> ReliabilityThresholds:
-        return ReliabilityThresholds(
-            min_success_rate=self.min_success_rate,
-            rssi_floor_indoor_dbm=self.rssi_floor_indoor_dbm,
-            rssi_floor_outdoor_dbm=self.rssi_floor_outdoor_dbm,
-            snr_floor_indoor_db=self.snr_floor_indoor_db,
-            snr_floor_outdoor_db=self.snr_floor_outdoor_db,
-        )
+        return self._thresholds
 
     def geometry(self) -> AntennaGeometry | None:
         """Antenna geometry, or None when either height is unset."""
-        if self.h_tx_m is None or self.h_rx_m is None:
-            return None
-        return AntennaGeometry(self.h_tx_m, self.h_rx_m, self.antenna_gain)
+        return self._geometry
 
     def hata_environment(self) -> HataEnvironment:
-        return HataEnvironment(city_size=self.city_size, area_class=self.area_class)
+        return self._environment
 
     def model(self, kind: str) -> PathLossModel:
-        """Build a PathLossModel of the given kind from this configuration.
+        """Build a PathLossModel of the given kind from this configuration's components.
 
-        Raises ValueError when the kind needs geometry and no heights are
-        configured.
+        Raises ValueError when the kind needs geometry and no heights are configured.
         """
-        return PathLossModel(
-            kind=kind,
-            frequency=Frequency(self.frequency_hz),
-            geometry=self.geometry(),
-            environment=self.hata_environment() if kind in HATA_KINDS else None,
-        )
+        environment = self._environment if kind in HATA_KINDS else None
+        return PathLossModel(kind, self._frequency, self._geometry, environment)
 
 
 _PARSERS = field_parsers(RunConfig)

@@ -38,6 +38,7 @@ RUNS = {
     "plan_indoor_csv": (*PLAN_INDOOR, "--format", "csv"),
     "analyze_table": ("analyze", "near.csv", "far.csv"),
     "analyze_csv": ("analyze", "near.csv", "far.csv", "--format", "csv"),
+    "analyze_glitch_warning": ("analyze", "hot.csv"),
     "fit_closed_form": ("fit", "--input", "points.csv", "--engine", "closed-form"),
     # Usage and domain errors (exit 2); none of them comes from argparse.
     "eval_two_ray_without_heights": ("model", "eval", "--model", "two-ray", "--d", "100"),
@@ -63,6 +64,9 @@ def prepare(workdir: Path) -> None:
     write_capture(workdir, "near", synth_capture_rows(1), distance_m=12.0)
     write_capture(workdir, "far", synth_capture_rows(2, mean_pcc=-93.0, p_crc=0.85),
                   distance_m=85.0)
+    hot = synth_capture_rows(3, n=50)
+    hot[7] = (7, 14.0, 14.0, 12.0, 1, 1)
+    write_capture(workdir, "hot", hot)
     (workdir / "points.csv").write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
     (workdir / "bogus.cfg").write_text("city_size = bogus\n")
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output contracts and exit codes."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import dectlink
-from dectlink.cli import main
-from dectlink.config import CONFIG_ENV_VAR
+from dectlink.cli import _CONFIG_FLAGS, main
+from dectlink.config import CONFIG_ENV_VAR, RunConfig
 
 import golden_runs
 from conftest import synth_capture_rows, write_capture
@@ -491,6 +492,22 @@ def test_output_matches_golden_file(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_config_flags_are_one_per_runconfig_field_in_order():
+    assert list(_CONFIG_FLAGS) == [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def test_warning_format_is_restored_after_a_run(capsys, tmp_path):
+    rows = [(0, -80.0, -80.0, 10.0, 1, 1), (1, 14.0, 14.0, 10.0, 1, 1)]
+    path = write_capture(tmp_path, "hot", rows)
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", str(path)]) == 0
+        assert main(["plan", "--environment", "outdoor", "--h-tx", "-1"]) == 2
+    assert len(caught) == 1
+    assert warnings.formatwarning is formatwarning
 
 
 @pytest.mark.parametrize("name", golden_runs.RUNS)

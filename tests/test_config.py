@@ -1,6 +1,7 @@
 """RunConfig defaults, file parsing, and precedence."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -93,9 +94,15 @@ class TestLoadConfig:
         assert cfg.tx_power_dbm == 0.0
 
     def test_invalid_choice_surfaces_from_runconfig_helpers(self):
-        cfg = load_config(None, {"city_size": "gigantic"})
-        with pytest.raises(ValueError):
-            cfg.hata_environment()
+        # Every value is checked when the config is built, not when a helper needs it.
+        with pytest.raises(ValueError, match="city_size must be one of"):
+            load_config(None, {"city_size": "gigantic"})
+
+    def test_first_bad_field_in_declaration_order_is_reported(self):
+        with pytest.raises(ValueError, match="^frequency must"):
+            load_config(None, {"area_class": "nowhere", "h_tx_m": -1.0, "frequency_hz": -5.0})
+        with pytest.raises(ValueError, match="^bandwidth_hz must"):
+            load_config(None, {"tx_power_dbm": math.nan, "bandwidth_hz": 0.0})
 
 
 class TestHelpers:
@@ -129,6 +136,16 @@ class TestHelpers:
         model = full.model("cost231-hata")
         assert model.environment.city_size == "large"
         assert model.geometry.h_tx_m == 10.0
+
+    def test_components_are_built_once_and_shared(self):
+        cfg = RunConfig(h_tx_m=10.0, h_rx_m=1.5)
+        assert cfg.budget() is cfg.budget()
+        assert cfg.thresholds() is cfg.thresholds()
+        first, second = cfg.model("okumura-hata"), cfg.model("cost231-hata")
+        assert first.frequency is second.frequency is cfg.model("fspl").frequency
+        assert first.geometry is second.geometry is cfg.geometry()
+        assert first.environment is second.environment is cfg.hata_environment()
+        assert cfg.model("fspl").environment is None
 
     def test_env_var_name_is_stable(self):
         assert CONFIG_ENV_VAR == "DECTLINK_CONFIG"

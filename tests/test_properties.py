@@ -4,6 +4,7 @@ files over random valid configurations."""
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,14 +225,37 @@ def test_mean_power_lies_between_the_db_mean_and_the_maximum(values):
 # ------------------------------------------------------------------ config files
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+POSITIVE_KEYS = ("frequency_hz", "bandwidth_hz", "antenna_gain")
+# Only values each component accepts: RunConfig checks every value when it is built.
 CONFIG_VALUES = {
     f.name: (
         st.sampled_from(CITY_SIZES) if f.name == "city_size"
         else st.sampled_from(AREA_CLASSES) if f.name == "area_class"
-        else st.one_of(st.none(), FINITE) if f.default is None
+        else st.floats(0.0, 100.0) if f.name == "min_success_rate"
+        else st.one_of(st.none(), POSITIVE) if f.default is None
+        else POSITIVE if f.name in POSITIVE_KEYS
         else FINITE
     )
     for f in dataclasses.fields(RunConfig)
+}
+UNKNOWN_NAME = st.from_regex(r"[a-z][a-z-]{0,11}", fullmatch=True).filter(
+    lambda name: name not in CITY_SIZES + AREA_CLASSES)
+# Values a config file can hold but a component refuses, with the component's wording.
+OUT_OF_RULE = {
+    "frequency_hz": (NOT_POSITIVE, "frequency must be a positive finite number"),
+    "bandwidth_hz": (NOT_POSITIVE, "bandwidth_hz must be a positive finite number"),
+    "min_success_rate": (
+        st.one_of(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+                  st.floats(min_value=100.0, exclude_min=True, allow_infinity=False)),
+        "min_success_rate must be in [0, 100]",
+    ),
+    "h_tx_m": (NOT_POSITIVE, "h_tx_m must be a positive finite number"),
+    "h_rx_m": (NOT_POSITIVE, "h_rx_m must be a positive finite number"),
+    "antenna_gain": (NOT_POSITIVE, "antenna_gain must be a positive finite number"),
+    "city_size": (UNKNOWN_NAME, f"city_size must be one of {CITY_SIZES}"),
+    "area_class": (UNKNOWN_NAME, f"area_class must be one of {AREA_CLASSES}"),
 }
 COMMENT_TEXT = st.text(st.sampled_from("ab =#,"), max_size=10)
 
@@ -267,3 +291,17 @@ def test_config_file_loads_the_values_written(config_path, config_and_text):
     config, text = config_and_text
     config_path.write_text(text)
     assert load_config(config_path) == config
+
+
+@CAPTURE_PROPERTY
+@given(config_files(), st.sampled_from(sorted(OUT_OF_RULE)), st.data())
+def test_one_out_of_rule_value_fails_to_load(config_path, config_and_text, name, data):
+    _, text = config_and_text
+    values, wording = OUT_OF_RULE[name]
+    value = data.draw(values)
+    lines = [line for line in text.splitlines() if line.partition("=")[0].strip() != name]
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, f"{name} = {value!r}" if isinstance(value, float) else f"{name}={value}")
+    config_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(wording)}, got {re.escape(repr(value))}$"):
+        load_config(config_path)
