@@ -18,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import synth_capture_rows, write_capture
+from conftest import synth_capture_rows, write_capture, write_fit_points
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_RUNS_DIR = Path(__file__).resolve().parent / "golden" / "runs"
@@ -40,6 +40,7 @@ RUNS = {
     "analyze_csv": ("analyze", "near.csv", "far.csv", "--format", "csv"),
     "analyze_glitch_warning": ("analyze", "hot.csv"),
     "fit_closed_form": ("fit", "--input", "points.csv", "--engine", "closed-form"),
+    "fit_iterative": ("fit", "--input", "noisy.csv", "--engine", "iterative"),
     # Usage and domain errors (exit 2); none of them comes from argparse.
     "eval_two_ray_without_heights": ("model", "eval", "--model", "two-ray", "--d", "100"),
     "eval_two_ray_negative_h_tx": (
@@ -68,6 +69,7 @@ def prepare(workdir: Path) -> None:
     hot[7] = (7, 14.0, 14.0, 12.0, 1, 1)
     write_capture(workdir, "hot", hot)
     (workdir / "points.csv").write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
+    write_fit_points(workdir, "noisy", 4)
     (workdir / "bogus.cfg").write_text("city_size = bogus\n")
 
 
