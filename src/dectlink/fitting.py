@@ -1,28 +1,21 @@
-"""Fitting measured path loss to parametric distance models.
+"""Fitting measured path loss to the log-distance law.
 
-Two independent routes to the same log-distance answer: a closed-form
-linear least-squares fit (the model is linear in its parameters once
-distance is log-transformed) and a general damped Gauss-Newton engine for
-arbitrary nonlinear predictors. Keeping both lets each check the other.
-
-The closed form is plain Python. numpy is imported inside the functions of
-the iterative route that use it, so importing dectlink, the closed-form fit
-and every CLI command but `fit --engine iterative` never load it.
+Two independent routes to the same answer: a closed-form linear
+least-squares fit (the law is linear in its parameters once distance is
+log-transformed) and a damped Gauss-Newton iteration from a fixed start.
+Keeping both lets each check the other. Both are plain Python.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+import sys
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .propagation import _require_finite, _require_positive
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# (params, distances) -> predicted path loss, all numpy float arrays.
-Predictor = Callable[[Any, Any], Any]
+_OVERFLOW = "the squared residuals overflow; the path-loss values are too large to fit"
 
 
 @dataclass(frozen=True)
@@ -62,9 +55,10 @@ class FitResult:
 
 
 def _validated_points(
-    points: Sequence[tuple[float, float]], distinct: bool = False
+    points: Sequence[tuple[float, float]], d0_m: float
 ) -> tuple[list[float], list[float]]:
-    """(distances, path losses) as floats; with distinct, at least two distances must differ."""
+    """(10 log10(d / d0) per point, path losses); at least two distances must differ."""
+    _require_positive("d0_m", d0_m)
     if len(points) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(points)}")
     d = [float(p[0]) for p in points]
@@ -73,44 +67,37 @@ def _validated_points(
         raise ValueError("all distances must be positive and finite")
     if not all(map(math.isfinite, y)):
         raise ValueError("all path-loss values must be finite")
-    if distinct and len(set(d)) < 2:
+    if len(set(d)) < 2:
         raise ValueError("need at least 2 distinct distances to determine the exponent")
-    return d, y
-
-
-def log_distance_curve(params: Sequence[float], d_m: np.ndarray, d0_m: float = 1.0) -> np.ndarray:
-    """Vectorized log-distance predictor; params = (pl0_db, exponent)."""
-    import numpy as np
-
-    pl0, n = params
-    return pl0 + 10.0 * n * np.log10(np.asarray(d_m, dtype=float) / d0_m)
+    return [10.0 * math.log10(v / d0_m) for v in d], y
 
 
 def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -> FitResult:
     """Closed-form least-squares fit of (distance_m, pl_db) points.
 
-    Solves the linear problem directly from centred sums, in plain Python:
-    no iteration, no starting guess, no numpy. Requires at least two
-    distinct distances, otherwise the slope is undetermined.
+    Solves the linear problem directly from centred sums: no iteration and
+    no starting guess. Requires at least two distinct distances, otherwise
+    the slope is undetermined.
     """
-    _require_positive("d0_m", d0_m)
-    d, y = _validated_points(points, distinct=True)
-
-    x = [10.0 * math.log10(v / d0_m) for v in d]
+    x, y = _validated_points(points, d0_m)
     n = len(x)
-    x_mean = math.fsum(x) / n
-    y_mean = math.fsum(y) / n
-    dx = [v - x_mean for v in x]
-    exponent = math.fsum([a * (b - y_mean) for a, b in zip(dx, y)]) / math.fsum(
-        [a * a for a in dx]
-    )
-    pl0 = y_mean - exponent * x_mean
-
-    residuals = [b - (pl0 + exponent * a) for a, b in zip(x, y)]
-    rmse = math.sqrt(math.fsum([r * r for r in residuals]) / n)
+    try:
+        x_mean = math.fsum(x) / n
+        y_mean = math.fsum(y) / n
+        dx = [v - x_mean for v in x]
+        exponent = math.fsum([a * (b - y_mean) for a, b in zip(dx, y)]) / math.fsum(
+            [a * a for a in dx]
+        )
+        pl0 = y_mean - exponent * x_mean
+        residuals = [b - (pl0 + exponent * a) for a, b in zip(x, y)]
+        cost = math.fsum([r * r for r in residuals])
+    except (OverflowError, ValueError):  # a sum overflows, or adds inf to -inf
+        cost = math.inf
+    if not math.isfinite(cost):
+        raise ValueError(_OVERFLOW)
     return FitResult(
         params=(pl0, exponent),
-        rmse_db=rmse,
+        rmse_db=math.sqrt(cost / n),
         residuals_db=tuple(residuals),
         iterations=0,
         converged=True,
@@ -118,104 +105,11 @@ def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -
     )
 
 
-def finite_difference_jacobian(
-    predict: Predictor, params: np.ndarray, d_m: np.ndarray
-) -> np.ndarray:
-    """Central-difference Jacobian of predict w.r.t. params, shape (n_points, n_params)."""
-    import numpy as np
-
-    params = np.asarray(params, dtype=float)
-    jac = np.empty((d_m.size, params.size))
-    for i in range(params.size):
-        step = max(1e-6, 1e-6 * abs(params[i]))
-        plus = params.copy()
-        minus = params.copy()
-        plus[i] += step
-        minus[i] -= step
-        jac[:, i] = (predict(plus, d_m) - predict(minus, d_m)) / (2.0 * step)
-    return jac
-
-
+_MAX_ITER = 200
+_COST_TOL = 1e-10
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e12
-
-
-def fit_general(
-    predict: Predictor,
-    initial: Sequence[float],
-    points: Sequence[tuple[float, float]],
-    max_iter: int = 200,
-    cost_tol: float = 1e-10,
-) -> FitResult:
-    """Damped Gauss-Newton least squares for an arbitrary predictor.
-
-    Each iteration solves (J'J + lambda I) delta = J'r and only accepts
-    steps that do not increase the sum of squared residuals; the damping
-    factor shrinks tenfold on acceptance and grows tenfold on rejection.
-    Stops when the relative cost improvement drops below cost_tol.
-    """
-    import numpy as np
-
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    d, y = (np.asarray(v) for v in _validated_points(points))
-    theta = np.asarray(initial, dtype=float).copy()
-    if theta.ndim != 1 or theta.size == 0:
-        raise ValueError("initial must be a non-empty 1-D parameter vector")
-
-    def cost_of(t: np.ndarray) -> tuple[float, np.ndarray]:
-        r = y - predict(t, d)
-        if not np.all(np.isfinite(r)):
-            return math.inf, r
-        return float(r @ r), r
-
-    cost, residuals = cost_of(theta)
-    if not math.isfinite(cost):
-        raise ValueError("predictor is non-finite at the initial parameters")
-    history = [cost]
-    damping = _DAMPING_START
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        jac = finite_difference_jacobian(predict, theta, d)
-        grad = jac.T @ residuals
-        hess = jac.T @ jac
-
-        accepted = False
-        while damping <= _DAMPING_MAX:
-            try:
-                delta = np.linalg.solve(hess + damping * np.eye(theta.size), grad)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            candidate = theta + delta
-            new_cost, new_residuals = cost_of(candidate)
-            if new_cost <= cost:
-                accepted = True
-                break
-            damping *= 10.0
-        if not accepted:
-            break
-
-        improvement = (cost - new_cost) / max(cost, np.finfo(float).tiny)
-        theta, cost, residuals = candidate, new_cost, new_residuals
-        history.append(cost)
-        damping = max(damping / 10.0, _DAMPING_MIN)
-        if improvement < cost_tol:
-            converged = True
-            break
-
-    rmse = float(np.sqrt(cost / d.size))
-    return FitResult(
-        params=tuple(float(t) for t in theta),
-        rmse_db=rmse,
-        residuals_db=tuple(float(r) for r in residuals),
-        iterations=iterations,
-        converged=converged,
-        cost_history=tuple(history),
-    )
 
 
 def fit_log_distance_iterative(
@@ -223,11 +117,61 @@ def fit_log_distance_iterative(
     d0_m: float = 1.0,
     initial: Sequence[float] = (40.0, 2.0),
 ) -> FitResult:
-    """Log-distance fit through the general engine; must agree with the closed form."""
-    _require_positive("d0_m", d0_m)
-    _validated_points(points, distinct=True)
+    """Damped Gauss-Newton fit of the log-distance law; must agree with the closed form.
 
-    result = fit_general(
-        lambda params, dist: log_distance_curve(params, dist, d0_m), initial, points
-    )
-    return replace(result, model=LogDistanceModel(*result.params, d0_m))
+    The Jacobian row of each point is (1, 10 log10(d / d0)), so J'J is the
+    constant [[N, sum x], [sum x, sum x^2]]. Each iteration solves
+    (J'J + lambda I) delta = J'r by Cramer's rule and only accepts steps that
+    do not increase the sum of squared residuals; the damping factor shrinks
+    tenfold on acceptance and grows tenfold on rejection or a singular
+    system. Stops when the relative cost improvement drops below _COST_TOL.
+    """
+    x, y = _validated_points(points, d0_m)
+    if len(initial) != 2:
+        raise ValueError(f"initial must hold 2 values (pl0_db, exponent), got {len(initial)}")
+    pl0 = _require_finite("initial pl0_db", initial[0])
+    n = _require_finite("initial exponent", initial[1])
+    count, sx, sxx = len(x), math.fsum(x), math.fsum([a * a for a in x])
+
+    def residuals_at(pl0: float, n: float) -> list[float]:
+        return [b - (pl0 + n * a) for a, b in zip(x, y)]
+
+    residuals = residuals_at(pl0, n)
+    cost = sum(r * r for r in residuals)  # inf, not an exception, when it overflows
+    if not math.isfinite(cost):
+        raise ValueError(_OVERFLOW)
+    history = [cost]
+    damping = _DAMPING_START
+    converged = False
+    iterations = 0
+
+    for iterations in range(1, _MAX_ITER + 1):
+        g0 = math.fsum(residuals)
+        g1 = math.fsum([a * r for a, r in zip(x, residuals)])
+
+        while damping <= _DAMPING_MAX:
+            h00, h11 = count + damping, sxx + damping
+            det = h00 * h11 - sx * sx
+            if det <= 0.0:
+                damping *= 10.0
+                continue
+            candidate = (pl0 + (g0 * h11 - sx * g1) / det, n + (h00 * g1 - sx * g0) / det)
+            new_residuals = residuals_at(*candidate)
+            new_cost = sum(r * r for r in new_residuals)
+            if new_cost <= cost:
+                break
+            damping *= 10.0
+        else:  # no damping up to _DAMPING_MAX gave a step that does not raise the cost
+            break
+
+        improvement = (cost - new_cost) / max(cost, sys.float_info.min)
+        (pl0, n), cost, residuals = candidate, new_cost, new_residuals
+        history.append(cost)
+        damping = max(damping / 10.0, _DAMPING_MIN)
+        if improvement < _COST_TOL:
+            converged = True
+            break
+
+    return FitResult(params=(pl0, n), rmse_db=math.sqrt(cost / count),
+                     residuals_db=tuple(residuals), iterations=iterations, converged=converged,
+                     model=LogDistanceModel(pl0, n, d0_m), cost_history=tuple(history))

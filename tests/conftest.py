@@ -65,21 +65,13 @@ def write_capture(
     return csv_path
 
 
-def write_fit_points(
-    directory: Path,
-    name: str,
-    seed: int,
-    n: int = 40,
-    pl0_db: float = 38.0,
-    exponent: float = 2.7,
-    sigma: float = 4.0,
-) -> Path:
-    """Noisy log-distance points, log-spaced over 1..1000 m, as a distance_m,pl_db table."""
+def write_fit_points(directory: Path, name: str, seed: int, n: int = 40) -> Path:
+    """n points of PL = 38 + 27 log10(d) + N(0, 4 dB), log-spaced over 1..1000 m, as a table."""
     rng = random.Random(seed)
     lines = ["distance_m,pl_db"]
     for i in range(n):
         d = round(10 ** (3 * i / (n - 1)), 3)
-        pl = pl0_db + 10.0 * exponent * math.log10(d) + rng.gauss(0.0, sigma)
+        pl = 38.0 + 27.0 * math.log10(d) + rng.gauss(0.0, 4.0)
         lines.append(f"{d},{round(pl, 2)}")
     path = directory / f"{name}.csv"
     path.write_text("\n".join(lines) + "\n")

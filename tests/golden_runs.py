@@ -57,6 +57,7 @@ RUNS = {
     "report_min_sr_150": ("report", "--min-sr", "150"),
     "analyze_negative_frequency": ("analyze", "near.csv", "--f", "-5"),
     "analyze_zero_h_tx": ("analyze", "near.csv", "--h-tx", "0"),
+    "fit_overflowing_losses": ("fit", "--input", "big.csv"),
 }
 
 
@@ -70,6 +71,7 @@ def prepare(workdir: Path) -> None:
     write_capture(workdir, "hot", hot)
     (workdir / "points.csv").write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
     write_fit_points(workdir, "noisy", 4)
+    (workdir / "big.csv").write_text("distance_m,pl_db\n10,1e200\n100,2e200\n1000,3e200\n")
     (workdir / "bogus.cfg").write_text("city_size = bogus\n")
 
 

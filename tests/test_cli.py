@@ -536,17 +536,21 @@ def test_import_and_plan_leave_numpy_unloaded():
 
 
 def test_capture_analysis_and_closed_form_fit_leave_numpy_unloaded(tmp_path):
-    """Loading, summarising and the closed-form fit, in the library and the CLI, need no numpy."""
+    """Loading, summarising and both fit engines, in the library and the CLI, need no numpy."""
     capture = write_capture(tmp_path, "site", synth_capture_rows(5, n=50))
     points = tmp_path / "points.csv"
     points.write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
     script = (
         "import sys\n"
-        "from dectlink import LinkBudget, fit_log_distance, load_capture, summarize\n"
+        "from dectlink import (LinkBudget, fit_log_distance, fit_log_distance_iterative,\n"
+        "                      load_capture, summarize)\n"
         "from dectlink.cli import main\n"
         f"record = summarize(load_capture({str(capture)!r}), LinkBudget())\n"
-        "fit_log_distance([(10.0, 60.0), (record.distance_m, record.empirical_pl_pcc_db)])\n"
+        "pts = [(10.0, 60.0), (record.distance_m, record.empirical_pl_pcc_db)]\n"
+        "fit_log_distance(pts)\n"
+        "fit_log_distance_iterative(pts)\n"
         f"rc = main(['fit', '--input', {str(points)!r}])\n"
+        f"rc += main(['fit', '--input', {str(points)!r}, '--engine', 'iterative'])\n"
         "print('exit', rc, 'numpy', 'numpy' in sys.modules)\n"
     )
     src = str(Path(dectlink.__file__).resolve().parent.parent)

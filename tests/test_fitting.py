@@ -3,17 +3,13 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from dectlink.fitting import (
     FitResult,
     LogDistanceModel,
-    finite_difference_jacobian,
-    fit_general,
     fit_log_distance,
     fit_log_distance_iterative,
-    log_distance_curve,
 )
 
 
@@ -151,35 +147,18 @@ class TestGeneralEngine:
 
     def test_cost_history_never_increases(self):
         pts = synth_points(sigma=3.0, seed=5, count=40)
-        result = fit_general(
-            log_distance_curve, np.array([100.0, 9.0]), pts
-        )
+        result = fit_log_distance_iterative(pts, initial=(100.0, 9.0))
         assert result.converged
         for earlier, later in zip(result.cost_history, result.cost_history[1:]):
             assert later <= earlier + 1e-12
 
-    def test_fits_a_genuinely_nonlinear_model(self):
-        # dual-slope style curve, nonlinear in its break parameter
-        def predict(theta, d):
-            pl0, n, brk = theta
-            return pl0 + 10.0 * n * np.log10(d) + 3.0 * np.log1p(d / abs(brk))
-
-        rng = random.Random(17)
-        d = np.array([10 ** (2.5 * i / 39) for i in range(40)])
-        truth = np.array([40.0, 2.2, 150.0])
-        y = predict(truth, d) + np.array([rng.gauss(0, 0.05) for _ in range(40)])
-        result = fit_general(predict, np.array([35.0, 2.0, 80.0]), list(zip(d, y)))
-        assert result.converged
-        assert result.params[1] == pytest.approx(2.2, abs=0.1)
-
     def test_validation(self):
         pts = synth_points()
-        with pytest.raises(ValueError):
-            fit_general(log_distance_curve, np.array([38.0, 2.7]), pts, max_iter=0)
-        with pytest.raises(ValueError):
-            fit_general(log_distance_curve, np.array([[38.0], [2.7]]), pts)
-        with pytest.raises(ValueError):
-            fit_general(lambda t, d: np.full_like(d, np.nan), np.array([1.0]), pts)
+        wrong_length = r"^initial must hold 2 values \(pl0_db, exponent\), got 3$"
+        with pytest.raises(ValueError, match=wrong_length):
+            fit_log_distance_iterative(pts, initial=(38.0, 2.7, 1.0))
+        with pytest.raises(ValueError, match="^initial exponent must be finite, got nan$"):
+            fit_log_distance_iterative(pts, initial=(38.0, float("nan")))
 
     def test_reference_distance_must_be_positive(self):
         with pytest.raises(ValueError, match="^d0_m must be a positive finite number, got 0.0$"):
@@ -192,10 +171,8 @@ class TestGeneralEngine:
         assert len(result.cost_history) == result.iterations + 1
 
 
-class TestJacobian:
-    def test_matches_analytic_log_distance_jacobian(self):
-        d = np.array([1.0, 10.0, 250.0, 4000.0])
-        theta = np.array([38.0, 2.7])
-        numeric = finite_difference_jacobian(log_distance_curve, theta, d)
-        analytic = np.column_stack([np.ones_like(d), 10.0 * np.log10(d)])
-        assert np.allclose(numeric, analytic, rtol=1e-5, atol=1e-7)
+@pytest.mark.parametrize("fit", [fit_log_distance, fit_log_distance_iterative])
+@pytest.mark.parametrize("losses", [(1e200, 2e200, 3e200), (1e308, -1e308, 1e308)])
+def test_overflowing_squared_residuals_are_an_error(fit, losses):
+    with pytest.raises(ValueError, match="^the squared residuals overflow; "):
+        fit(list(zip((10.0, 100.0, 1000.0), losses)))
