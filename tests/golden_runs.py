@@ -34,6 +34,8 @@ RUNS = {
     "eval_inh_los_200m": ("model", "eval", "--model", "inh-los", "--d", "200"),
     "sweep_all_to_file": ("model", "sweep", "--models", "all", "--start", "1", "--end", "1000",
                           "--points", "7", *HEIGHTS, "--out", "sweep.csv"),
+    "sweep_two_models_to_stdout": ("model", "sweep", "--models", "fspl,inh-los", "--start", "1",
+                                   "--end", "1000", "--points", "9", "--spacing", "linear"),
     "plan_indoor_table": PLAN_INDOOR,
     "plan_indoor_csv": (*PLAN_INDOOR, "--format", "csv"),
     "analyze_table": ("analyze", "near.csv", "far.csv"),
