@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 import warnings
+from array import array
+from contextlib import contextmanager
 from dataclasses import fields
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .budget import (
     ENVIRONMENTS,
@@ -76,19 +76,35 @@ def _fmt2(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+class _StdoutClosed(Exception):
+    """The reader of stdout went away, as in `dectlink model sweep ... | head -n 1`."""
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Yield stdout, or the --out file, closed on exit; open it only after every check has run."""
+    if out is not None:
+        with open(out, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
+def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write the header, then each row as the iterable yields it."""
+    with _output(out) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_lines(out: str | None, lines: Iterable[str]) -> None:
+    with _output(out) as stream:
+        stream.write("\n".join(lines) + "\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,10 +140,9 @@ def _parse_model_list(arg: str) -> tuple[str, ...]:
 def cmd_model_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     model = cfg.model(args.model)
-    pl = model.path_loss(args.d)
-    print(f"{pl:.2f} dB")
-    for flag in model.flags(args.d):
-        print(f"flag {flag.code}: {flag.detail}")
+    lines = [f"{model.path_loss(args.d):.2f} dB"]
+    lines += [f"flag {flag.code}: {flag.detail}" for flag in model.flags(args.d)]
+    _write_lines(None, lines)
     return 0
 
 
@@ -135,17 +150,17 @@ def cmd_model_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     kinds = _parse_model_list(args.models)
     models = [cfg.model(kind) for kind in kinds]
-    sweeps = [
-        evaluate_sweep(model, args.start, args.end, args.points, args.spacing)
-        for model in models
-    ]
-    distances = [d for d, _ in sweeps[0]]
+    # The distances, then one loss column per model, as packed doubles: each sweep's pairs
+    # are dropped before the next model runs, and rows are formatted only as they are written.
+    columns: list[array] = []
+    for model in models:
+        pairs = evaluate_sweep(model, args.start, args.end, args.points, args.spacing)
+        if not columns:
+            columns.append(array("d", (d for d, _ in pairs)))
+        columns.append(array("d", (pl for _, pl in pairs)))
+        del pairs
     header = ["distance_m"] + [f"{kind}_db" for kind in kinds]
-    rows = [
-        [_num(distances[i])] + [_num(sweep[i][1]) for sweep in sweeps]
-        for i in range(len(distances))
-    ]
-    _emit(_csv_text(header, rows), args.out)
+    _write_csv(args.out, header, (map(_num, row) for row in zip(*columns)))
     return 0
 
 
@@ -174,8 +189,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records.sort(key=lambda r: (r.distance_m, r.location_id))
 
     if args.format == "csv":
-        rows = [[_cell(getattr(r, name)) for name in _ANALYZE_COLUMNS] for r in records]
-        _emit(_csv_text(_ANALYZE_COLUMNS, rows), args.out)
+        rows = ([_cell(getattr(r, name)) for name in _ANALYZE_COLUMNS] for r in records)
+        _write_csv(args.out, _ANALYZE_COLUMNS, rows)
         return 0
 
     lines = []
@@ -199,7 +214,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     except ValueError:
         lines.append("max reliable distance: none (no location clears the threshold)")
-    _emit("\n".join(lines) + "\n", args.out)
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -218,13 +233,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         result = fit_log_distance_iterative(points, d0_m=args.d0)
     pl0, exponent = result.params
-    print(f"pl0_db: {pl0:.2f}")
-    print(f"exponent: {exponent:.4f}")
-    print(f"rmse_db: {result.rmse_db:.2f}")
-    print(f"points: {len(points)}")
-    print(f"engine: {args.engine}")
-    print(f"iterations: {result.iterations}")
-    print(f"converged: {'yes' if result.converged else 'no'}")
+    _write_lines(None, (
+        f"pl0_db: {pl0:.2f}",
+        f"exponent: {exponent:.4f}",
+        f"rmse_db: {result.rmse_db:.2f}",
+        f"points: {len(points)}",
+        f"engine: {args.engine}",
+        f"iterations: {result.iterations}",
+        f"converged: {'yes' if result.converged else 'no'}",
+    ))
     return 0
 
 
@@ -266,7 +283,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             for criterion, allowed, reach, binds in records
         ]
         header = ["model", "criterion", "allowed_pl_db", "max_distance_m", "binding"]
-        _emit(_csv_text(header, csv_rows), args.out)
+        _write_csv(args.out, header, csv_rows)
         return 0
 
     lines = [
@@ -285,7 +302,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 text = f"{reach:.2f} m"
             mark = "  (binding)" if binds else ""
             lines.append(f"  {criterion}: allowed PL {allowed:.2f} dB -> {text}{mark}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -326,7 +343,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                          f"delta {delta:+.2f} dB{'' if ok else '  INCONSISTENT'}")
         rows.append(out)
 
-    _emit(_csv_text(header, rows) if args.format == "csv" else "\n".join(lines) + "\n", args.out)
+    if args.format == "csv":
+        _write_csv(args.out, header, rows)
+    else:
+        _write_lines(args.out, lines)
     return 0
 
 
@@ -409,6 +429,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         return args.handler(args)
+    except _StdoutClosed:
+        # A closed pipe is not an error: as the docs of Python's signal module show, point
+        # stdout at devnull so that the flush at exit does not fail again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError, ThresholdUnreachable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

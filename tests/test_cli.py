@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -141,6 +142,45 @@ class TestModelSweep:
         assert code == 0
         assert out == ""
         assert dest.read_text().startswith("distance_m,fspl_db\n")
+
+    @pytest.mark.parametrize("argv,out", [
+        (("--start", "10", "--end", "10"), "s.csv"),
+        (("--start", "1", "--end", "10"), "missing/s.csv"),
+    ])
+    def test_failed_sweep_leaves_no_out_file(self, capsys, tmp_path, argv, out):
+        code, stdout, err = run_cli(capsys, "model", "sweep", "--models", "fspl", *argv,
+                                    "--points", "4", "--out", str(tmp_path / out))
+        assert code == 2 and stdout == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_traced_memory_stays_near_flat_in_points(self, tmp_path):
+        """Columns of doubles, rows formatted as written: a few hundred bytes per grid point."""
+        argv = ["model", "sweep", "--models", "all", "--start", "1", "--end", "5000", *HEIGHTS,
+                "--out", str(tmp_path / "sweep.csv"), "--points"]
+        assert main([*argv, "100"]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 20000 < 400
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_closed_stdout_pipe_ends_the_run_quietly(self, lines_read):
+        """As `| true` and `| head -n 1` do: exit 0 and print nothing to stderr."""
+        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(dectlink.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-X", "dev", "-m", "dectlink.cli", "model", "sweep",
+                "--models", "fspl", "--start", "1", "--end", "1000", "--points", "200000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            if lines_read:
+                assert proc.stdout.readline() == b"distance_m,fspl_db\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestAnalyze:

@@ -104,6 +104,16 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="^bandwidth_hz must"):
             load_config(None, {"tx_power_dbm": math.nan, "bandwidth_hz": 0.0})
 
+    def test_bad_file_value_names_the_file_unless_an_override_replaces_it(self, tmp_path):
+        cfg_file = tmp_path / "site.cfg"
+        cfg_file.write_text("city_size = bogus\nh_tx_m = 10\n")
+        with pytest.raises(ValueError, match="^site.cfg: city_size must be one of"):
+            load_config(cfg_file)
+        assert load_config(cfg_file, {"city_size": "large"}).city_size == "large"
+        # A bad override is the caller's, so its error names no file.
+        with pytest.raises(ValueError, match="^h_rx_m must"):
+            load_config(cfg_file, {"city_size": "large", "h_rx_m": -1.0})
+
 
 class TestHelpers:
     def test_budget_mirror(self):

@@ -303,5 +303,6 @@ def test_one_out_of_rule_value_fails_to_load(config_path, config_and_text, name,
     at = data.draw(st.integers(0, len(lines)))
     lines.insert(at, f"{name} = {value!r}" if isinstance(value, float) else f"{name}={value}")
     config_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(wording)}, got {re.escape(repr(value))}$"):
+    message = f"{config_path.name}: {wording}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(config_path)
