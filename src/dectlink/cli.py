@@ -141,8 +141,7 @@ def cmd_model_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     model = cfg.model(args.model)
     lines = [f"{model.path_loss(args.d):.2f} dB"]
-    lines += [f"flag {flag.code}: {flag.detail}" for flag in model.flags(args.d)]
-    _write_lines(None, lines)
+    _write_lines(None, lines + [f"flag {flag.code}: {flag.detail}" for flag in model.flags(args.d)])
     return 0
 
 

@@ -113,20 +113,19 @@ def load_config(
     argparse results straight through. A bad value in the file that no
     override replaces is reported with the file's name.
     """
-    from_file: dict[str, Any] = {}
-    if path is not None:
-        path = Path(path)
-        from_file = parse_config_text(path.read_text(encoding="utf-8-sig"), source=path.name)
     given: dict[str, Any] = {}
     for key, value in (overrides or {}).items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         if value is not None:
             given[key] = value
-    if path is not None:
-        # Every RunConfig check is on one field, so an error here names a value from the file.
-        try:
-            RunConfig(**{k: v for k, v in from_file.items() if k not in given})
-        except ValueError as exc:
-            raise ValueError(f"{path.name}: {exc}") from None
+    if path is None:
+        return RunConfig(**given)
+    path = Path(path)
+    from_file = parse_config_text(path.read_text(encoding="utf-8-sig"), source=path.name)
+    # Every RunConfig check is on one field, so an error here names a value from the file.
+    try:
+        RunConfig(**{k: v for k, v in from_file.items() if k not in given})
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
     return RunConfig(**(from_file | given))
