@@ -1,9 +1,9 @@
-"""Fitting measured path loss to the log-distance law.
+"""Fitting measured path loss to the log-distance law PL(d) = pl0 + 10 n log10(d / d0).
 
-Two independent routes to the same answer: a closed-form linear
-least-squares fit (the law is linear in its parameters once distance is
-log-transformed) and a damped Gauss-Newton iteration from a fixed start.
-Keeping both lets each check the other. Both are plain Python.
+A closed-form linear least-squares fit and a damped Gauss-Newton iteration
+reach the same answer by independent routes, so each checks the other. Both
+take their points through one check: losses within +-1000 dB, where no sum
+overflows, and log-distances 10 log10(d / d0) that span at least 1e-6 dB.
 """
 
 from __future__ import annotations
@@ -15,30 +15,15 @@ from typing import Sequence
 
 from .propagation import _require_finite, _require_positive
 
-_OVERFLOW = "the squared residuals overflow; the path-loss values are too large to fit"
-
-
-@dataclass(frozen=True)
-class LogDistanceModel:
-    """PL(d) = pl0 + 10 n log10(d / d0), the standard log-distance law."""
-
-    pl0_db: float
-    exponent: float
-    d0_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_finite("pl0_db", self.pl0_db)
-        _require_finite("exponent", self.exponent)
-        _require_positive("d0_m", self.d0_m)
-
-    def path_loss(self, d_m: float) -> float:
-        d_m = _require_positive("distance", d_m)
-        return self.pl0_db + 10.0 * self.exponent * math.log10(d_m / self.d0_m)
+# Far beyond any real link: the bundled campaign's largest loss is 120.61 dB.
+_MAX_ABS_PL_DB = 1000.0
+# Log-distances closer than this leave the exponent to the rounding of the losses.
+_MIN_SPREAD_DB = 1e-6
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a fit: parameters plus residual diagnostics.
+    """Outcome of a fit: parameters (pl0_db, exponent) plus residual diagnostics.
 
     iterations is 0 for the closed-form route. cost_history holds the
     accepted sum-of-squares trajectory for iterative fits (starting cost
@@ -50,58 +35,50 @@ class FitResult:
     residuals_db: tuple[float, ...]
     iterations: int
     converged: bool
-    model: LogDistanceModel | None = None
     cost_history: tuple[float, ...] = field(default=())
 
 
 def _validated_points(
     points: Sequence[tuple[float, float]], d0_m: float
 ) -> tuple[list[float], list[float]]:
-    """(10 log10(d / d0) per point, path losses); at least two distances must differ."""
-    _require_positive("d0_m", d0_m)
+    """(10 (log10 d - log10 d0) per point, path losses): the one check for both engines."""
+    log_d0 = math.log10(_require_positive("d0_m", d0_m))
     if len(points) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(points)}")
     d = [float(p[0]) for p in points]
     y = [float(p[1]) for p in points]
     if not all(math.isfinite(v) and v > 0.0 for v in d):
         raise ValueError("all distances must be positive and finite")
-    if not all(map(math.isfinite, y)):
-        raise ValueError("all path-loss values must be finite")
-    if len(set(d)) < 2:
+    if not all(abs(v) <= _MAX_ABS_PL_DB for v in y):  # also false for nan
+        raise ValueError(f"all path-loss values must be at most {_MAX_ABS_PL_DB:g} dB in magnitude")
+    x = [10.0 * (math.log10(v) - log_d0) for v in d]
+    if max(x) - min(x) < _MIN_SPREAD_DB:
         raise ValueError("need at least 2 distinct distances to determine the exponent")
-    return [10.0 * math.log10(v / d0_m) for v in d], y
+    return x, y
 
 
 def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -> FitResult:
     """Closed-form least-squares fit of (distance_m, pl_db) points.
 
     Solves the linear problem directly from centred sums: no iteration and
-    no starting guess. Requires at least two distinct distances, otherwise
-    the slope is undetermined.
+    no starting guess.
     """
     x, y = _validated_points(points, d0_m)
     n = len(x)
-    try:
-        x_mean = math.fsum(x) / n
-        y_mean = math.fsum(y) / n
-        dx = [v - x_mean for v in x]
-        exponent = math.fsum([a * (b - y_mean) for a, b in zip(dx, y)]) / math.fsum(
-            [a * a for a in dx]
-        )
-        pl0 = y_mean - exponent * x_mean
-        residuals = [b - (pl0 + exponent * a) for a, b in zip(x, y)]
-        cost = math.fsum([r * r for r in residuals])
-    except (OverflowError, ValueError):  # a sum overflows, or adds inf to -inf
-        cost = math.inf
-    if not math.isfinite(cost):
-        raise ValueError(_OVERFLOW)
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    dx = [v - x_mean for v in x]
+    exponent = math.fsum([a * (b - y_mean) for a, b in zip(dx, y)]) / math.fsum(
+        [a * a for a in dx]
+    )
+    pl0 = y_mean - exponent * x_mean
+    residuals = [b - (pl0 + exponent * a) for a, b in zip(x, y)]
     return FitResult(
         params=(pl0, exponent),
-        rmse_db=math.sqrt(cost / n),
+        rmse_db=math.sqrt(math.fsum([r * r for r in residuals]) / n),
         residuals_db=tuple(residuals),
         iterations=0,
         converged=True,
-        model=LogDistanceModel(pl0, exponent, d0_m),
     )
 
 
@@ -119,27 +96,29 @@ def fit_log_distance_iterative(
 ) -> FitResult:
     """Damped Gauss-Newton fit of the log-distance law; must agree with the closed form.
 
-    The Jacobian row of each point is (1, 10 log10(d / d0)), so J'J is the
-    constant [[N, sum x], [sum x, sum x^2]]. Each iteration solves
-    (J'J + lambda I) delta = J'r by Cramer's rule and only accepts steps that
-    do not increase the sum of squared residuals; the damping factor shrinks
-    tenfold on acceptance and grows tenfold on rejection or a singular
-    system. Stops when the relative cost improvement drops below _COST_TOL.
+    Iterates on (c, n), c being the loss at the mean log-distance, so each
+    point's Jacobian row (1, u) holds its centred log-distance u. Each iteration
+    solves (J'J + lambda diag(J'J)) delta = J'r by Cramer's rule and accepts only
+    steps that do not raise the sum of squared residuals; lambda shrinks tenfold
+    on acceptance and grows tenfold on rejection or a singular system. Centring
+    and scaling keep the steps independent of where the log-distances lie and
+    how far apart. Stops when the relative cost improvement drops below _COST_TOL.
     """
     x, y = _validated_points(points, d0_m)
     if len(initial) != 2:
         raise ValueError(f"initial must hold 2 values (pl0_db, exponent), got {len(initial)}")
     pl0 = _require_finite("initial pl0_db", initial[0])
     n = _require_finite("initial exponent", initial[1])
-    count, sx, sxx = len(x), math.fsum(x), math.fsum([a * a for a in x])
+    count, x_mean = len(x), math.fsum(x) / len(x)
+    u = [v - x_mean for v in x]
+    su, suu = math.fsum(u), math.fsum([a * a for a in u])
+    c = pl0 + n * x_mean
 
-    def residuals_at(pl0: float, n: float) -> list[float]:
-        return [b - (pl0 + n * a) for a, b in zip(x, y)]
+    def residuals_at(c: float, n: float) -> list[float]:
+        return [b - (c + n * a) for a, b in zip(u, y)]
 
-    residuals = residuals_at(pl0, n)
-    cost = sum(r * r for r in residuals)  # inf, not an exception, when it overflows
-    if not math.isfinite(cost):
-        raise ValueError(_OVERFLOW)
+    residuals = residuals_at(c, n)
+    cost = math.fsum([r * r for r in residuals])
     history = [cost]
     damping = _DAMPING_START
     converged = False
@@ -147,17 +126,17 @@ def fit_log_distance_iterative(
 
     for iterations in range(1, _MAX_ITER + 1):
         g0 = math.fsum(residuals)
-        g1 = math.fsum([a * r for a, r in zip(x, residuals)])
+        g1 = math.fsum([a * r for a, r in zip(u, residuals)])
 
         while damping <= _DAMPING_MAX:
-            h00, h11 = count + damping, sxx + damping
-            det = h00 * h11 - sx * sx
+            h00, h11 = count * (1.0 + damping), suu * (1.0 + damping)
+            det = h00 * h11 - su * su
             if det <= 0.0:
                 damping *= 10.0
                 continue
-            candidate = (pl0 + (g0 * h11 - sx * g1) / det, n + (h00 * g1 - sx * g0) / det)
+            candidate = (c + (g0 * h11 - su * g1) / det, n + (h00 * g1 - su * g0) / det)
             new_residuals = residuals_at(*candidate)
-            new_cost = sum(r * r for r in new_residuals)
+            new_cost = math.fsum([r * r for r in new_residuals])
             if new_cost <= cost:
                 break
             damping *= 10.0
@@ -165,13 +144,13 @@ def fit_log_distance_iterative(
             break
 
         improvement = (cost - new_cost) / max(cost, sys.float_info.min)
-        (pl0, n), cost, residuals = candidate, new_cost, new_residuals
+        (c, n), cost, residuals = candidate, new_cost, new_residuals
         history.append(cost)
         damping = max(damping / 10.0, _DAMPING_MIN)
         if improvement < _COST_TOL:
             converged = True
             break
 
-    return FitResult(params=(pl0, n), rmse_db=math.sqrt(cost / count),
+    return FitResult(params=(c - n * x_mean, n), rmse_db=math.sqrt(cost / count),
                      residuals_db=tuple(residuals), iterations=iterations, converged=converged,
-                     model=LogDistanceModel(pl0, n, d0_m), cost_history=tuple(history))
+                     cost_history=tuple(history))

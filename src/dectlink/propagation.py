@@ -172,9 +172,12 @@ def two_ray(d_m: float, geometry: AntennaGeometry) -> float:
     """
     d_m = _require_positive("distance", d_m)
     g = geometry
-    return 40.0 * math.log10(d_m) - 10.0 * math.log10(
-        g.combined_gain * g.h_tx_m**2 * g.h_rx_m**2
-    )
+    try:
+        heights = g.combined_gain * g.h_tx_m**2 * g.h_rx_m**2
+    except OverflowError:  # float ** raises where float * would give inf
+        heights = math.inf
+    heights = _require_positive("combined_gain * h_tx_m**2 * h_rx_m**2", heights)
+    return 40.0 * math.log10(d_m) - 10.0 * math.log10(heights)
 
 
 def two_ray_crossover_m(geometry: AntennaGeometry, f_hz: float) -> float:

@@ -25,6 +25,7 @@ GOLDEN_RUNS_DIR = Path(__file__).resolve().parent / "golden" / "runs"
 
 HEIGHTS = ("--h-tx", "10", "--h-rx", "1.5")
 PLAN_INDOOR = ("plan", "--environment", "indoor", "--models", "all", *HEIGHTS)
+PLAN_OUTDOOR = ("plan", "--environment", "outdoor", "--models", "all", *HEIGHTS)
 FSPL_EVAL = ("model", "eval", "--model", "fspl", "--d", "10")
 
 RUNS = {
@@ -38,11 +39,16 @@ RUNS = {
                                    "--end", "1000", "--points", "9", "--spacing", "linear"),
     "plan_indoor_table": PLAN_INDOOR,
     "plan_indoor_csv": (*PLAN_INDOOR, "--format", "csv"),
+    # Unreachable, binding and capped outdoor plan rows, and the report.
+    **{f"plan_outdoor_{tx}dbm_{fmt}": (*PLAN_OUTDOOR, "--tx-power", tx, "--format", fmt)
+       for tx in ("-100", "19", "200") for fmt in ("table", "csv")},
+    **{f"report_{fmt}": ("report", *HEIGHTS, "--format", fmt) for fmt in ("table", "csv")},
     "analyze_table": ("analyze", "near.csv", "far.csv"),
     "analyze_csv": ("analyze", "near.csv", "far.csv", "--format", "csv"),
     "analyze_glitch_warning": ("analyze", "hot.csv"),
     "fit_closed_form": ("fit", "--input", "points.csv", "--engine", "closed-form"),
     "fit_iterative": ("fit", "--input", "noisy.csv", "--engine", "iterative"),
+    "fit_d0_far_beyond_the_points": ("fit", "--input", "tiny.csv", "--d0", "1e300"),
     # Usage and domain errors (exit 2); none of them comes from argparse.
     "eval_two_ray_without_heights": ("model", "eval", "--model", "two-ray", "--d", "100"),
     "eval_two_ray_negative_h_tx": (
@@ -59,7 +65,11 @@ RUNS = {
     "report_min_sr_150": ("report", "--min-sr", "150"),
     "analyze_negative_frequency": ("analyze", "near.csv", "--f", "-5"),
     "analyze_zero_h_tx": ("analyze", "near.csv", "--h-tx", "0"),
+    "eval_two_ray_overflowing_heights": (
+        "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e200", "--h-rx", "1e-200"),
     "fit_overflowing_losses": ("fit", "--input", "big.csv"),
+    "fit_one_log_distance_closed_form": ("fit", "--input", "close.csv"),
+    "fit_one_log_distance_iterative": ("fit", "--input", "close.csv", "--engine", "iterative"),
 }
 
 
@@ -74,6 +84,9 @@ def prepare(workdir: Path) -> None:
     (workdir / "points.csv").write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
     write_fit_points(workdir, "noisy", 4)
     (workdir / "big.csv").write_text("distance_m,pl_db\n10,1e200\n100,2e200\n1000,3e200\n")
+    # Two distances whose log-distances coincide, and two far below d0 = 1e300 m.
+    (workdir / "close.csv").write_text("distance_m,pl_db\n1e300,60\n1.0000000000000002e300,80\n")
+    (workdir / "tiny.csv").write_text("distance_m,pl_db\n1e-300,60\n1,80\n")
     (workdir / "bogus.cfg").write_text("city_size = bogus\n")
 
 

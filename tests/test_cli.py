@@ -517,23 +517,6 @@ class TestReport:
         assert "Hallila Power Line" in out
 
 
-GOLDEN = Path(__file__).parent / "golden"
-_FORMATS = (("table", "txt"), ("csv", "csv"))
-GOLDEN_RUNS = {
-    f"plan_outdoor_{tx}dbm.{ext}": (*PLAN_ALL, "--tx-power", tx, "--format", fmt)
-    for tx in ("-100", "19", "200")
-    for fmt, ext in _FORMATS
-} | {f"report.{ext}": ("report", *HEIGHTS, "--format", fmt) for fmt, ext in _FORMATS}
-
-
-@pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_output_matches_golden_file(capsys, name):
-    """Unreachable, binding and capped plan rows, and the report, byte for byte."""
-    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
-
-
 def test_config_flags_are_one_per_runconfig_field_in_order():
     assert list(_CONFIG_FLAGS) == [f.name for f in dataclasses.fields(RunConfig)]
 

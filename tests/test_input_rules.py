@@ -5,9 +5,10 @@ import pytest
 from dectlink.budget import LinkBudget
 from dectlink.campaign import CaptureColumns, LocationCapture
 from dectlink.config import RunConfig
-from dectlink.fitting import LogDistanceModel, fit_log_distance
+from dectlink.fitting import fit_log_distance
 from dectlink.propagation import (
     MODEL_KINDS,
+    AntennaGeometry,
     Frequency,
     HataEnvironment,
     PathLossModel,
@@ -22,8 +23,6 @@ NO_HEIGHTS = "model 'two-ray' needs antenna heights; set h_tx_m and h_rx_m"
 CASES = {
     "budget-bandwidth": (lambda: LinkBudget(bandwidth_hz=0),
                          "bandwidth_hz must be a positive finite number, got 0.0"),
-    "log-distance-d0": (lambda: LogDistanceModel(38, 2, d0_m=0),
-                        "d0_m must be a positive finite number, got 0.0"),
     "fit-d0": (lambda: fit_log_distance(POINTS, d0_m=0),
                "d0_m must be a positive finite number, got 0.0"),
     "capture-distance": (lambda: LocationCapture("loc", -4, "los-indoor", 0.0, 1, ROW),
@@ -35,6 +34,9 @@ CASES = {
     "model-kind": (lambda: PathLossModel("x", F),
                    f"model kind must be one of {MODEL_KINDS}, got 'x'"),
     "model-heights": (lambda: PathLossModel("two-ray", F), NO_HEIGHTS),
+    "two-ray-height-product": (
+        lambda: PathLossModel("two-ray", F, AntennaGeometry(1e200, 1e-200)),
+        "combined_gain * h_tx_m**2 * h_rx_m**2 must be a positive finite number, got inf"),
     "config-heights": (lambda: RunConfig().model("two-ray"), NO_HEIGHTS),
 }
 

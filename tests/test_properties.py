@@ -1,6 +1,7 @@
 """Property tests: the log-affine model core over random valid models,
-capture ingestion over random, oddly formatted capture files, and config
-files over random valid configurations."""
+capture ingestion over random, oddly formatted capture files, config
+files over random valid configurations, and the two fit engines over
+random, often degenerate point sets."""
 
 import dataclasses
 import math
@@ -20,6 +21,7 @@ from dectlink.budget import (
 )
 from dectlink.campaign import CAPTURE_HEADER, load_capture, mean_power_db
 from dectlink.config import RunConfig, load_config
+from dectlink.fitting import fit_log_distance, fit_log_distance_iterative
 from dectlink.propagation import (
     AREA_CLASSES,
     CITY_SIZES,
@@ -306,3 +308,37 @@ def test_one_out_of_rule_value_fails_to_load(config_path, config_and_text, name,
     message = f"{config_path.name}: {wording}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(config_path)
+
+
+# ------------------------------------------------------------------ fitting
+
+
+@st.composite
+def fit_inputs(draw) -> tuple[list[tuple[float, float]], float]:
+    """Points and d0_m, some distances repeated exactly or as their float neighbours."""
+    distances = draw(st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+                              min_size=1, max_size=8))
+    for d in draw(st.lists(st.sampled_from(distances), max_size=4)):
+        distances.append(draw(st.sampled_from((d, math.nextafter(d, 0.0),
+                                               math.nextafter(d, math.inf)))))
+    losses = draw(st.lists(st.floats(-1200.0, 1200.0), min_size=len(distances),
+                           max_size=len(distances)))
+    return list(zip(distances, losses)), 10.0 ** draw(st.floats(-300.0, 300.0))
+
+
+@PROPERTY
+@given(fit_inputs())
+def test_both_fit_engines_accept_the_same_inputs(inputs):
+    outcomes = []
+    for fit in (fit_log_distance, fit_log_distance_iterative):
+        try:
+            outcomes.append(fit(*inputs).params)
+        except ValueError as error:
+            outcomes.append(str(error))
+    closed, iterative = outcomes
+    if isinstance(closed, str) or isinstance(iterative, str):
+        assert closed == iterative
+    else:
+        for a, b in zip(closed, iterative):
+            assert math.isfinite(a) and math.isfinite(b)
+            assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
