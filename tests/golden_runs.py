@@ -65,6 +65,7 @@ RUNS = {
     "report_min_sr_150": ("report", "--min-sr", "150"),
     "analyze_negative_frequency": ("analyze", "near.csv", "--f", "-5"),
     "analyze_zero_h_tx": ("analyze", "near.csv", "--h-tx", "0"),
+    "analyze_absurd_rssi": ("analyze", "absurd.csv"),
     "eval_two_ray_overflowing_heights": (
         "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e200", "--h-rx", "1e-200"),
     "fit_overflowing_losses": ("fit", "--input", "big.csv"),
@@ -81,6 +82,8 @@ def prepare(workdir: Path) -> None:
     hot = synth_capture_rows(3, n=50)
     hot[7] = (7, 14.0, 14.0, 12.0, 1, 1)
     write_capture(workdir, "hot", hot)
+    # A finite RSSI whose squared deviation from the mean overflows.
+    write_capture(workdir, "absurd", [(0, -80, -80, 10, 1, 1), (1, -1e200, -80, 10, 1, 1)])
     (workdir / "points.csv").write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
     write_fit_points(workdir, "noisy", 4)
     (workdir / "big.csv").write_text("distance_m,pl_db\n10,1e200\n100,2e200\n1000,3e200\n")
