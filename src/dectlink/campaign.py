@@ -65,8 +65,16 @@ def sample_std_db(values_db: Sequence[float]) -> float:
     n = len(values_db)
     if n < 2:
         return 0.0
-    mean = math.fsum(values_db) / n
-    return math.sqrt(math.fsum([(v - mean) ** 2 for v in values_db]) / (n - 1))
+    try:
+        mean = math.fsum(values_db) / n
+        std = math.sqrt(math.fsum([(v - mean) ** 2 for v in values_db]) / (n - 1))
+    except OverflowError:
+        std = math.inf
+    if not math.isfinite(std):
+        raise ValueError(
+            f"sample_std_db: {max(values_db, key=abs)!r} dB overflows the squared deviations"
+        )
+    return std
 
 
 class CaptureColumns(NamedTuple):

@@ -1,9 +1,10 @@
 """Fitting measured path loss to the log-distance law PL(d) = pl0 + 10 n log10(d / d0).
 
-A closed-form linear least-squares fit and a damped Gauss-Newton iteration
-reach the same answer by independent routes, so each checks the other. Both
-take their points through one check: losses within +-1000 dB, where no sum
-overflows, and log-distances 10 log10(d / d0) that span at least 1e-6 dB.
+A closed-form linear least-squares fit and a plain Gauss-Newton iteration
+from (40 dB, 2) reach the same answer by independent routes, so each checks
+the other. Both take their points through one check: losses within +-1000 dB,
+where no sum overflows, and log-distances 10 log10(d / d0) that span at least
+1e-6 dB.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .propagation import _require_finite, _require_positive
+from .propagation import _require_positive
 
 # Far beyond any real link: the bundled campaign's largest loss is 120.61 dB.
 _MAX_ABS_PL_DB = 1000.0
@@ -26,8 +27,8 @@ class FitResult:
     """Outcome of a fit: parameters (pl0_db, exponent) plus residual diagnostics.
 
     iterations is 0 for the closed-form route. cost_history holds the
-    accepted sum-of-squares trajectory for iterative fits (starting cost
-    first) and is empty for closed-form fits.
+    sum-of-squares cost of an iterative fit at its start and after each
+    iteration, and is empty for closed-form fits.
     """
 
     params: tuple[float, ...]
@@ -84,70 +85,49 @@ def fit_log_distance(points: Sequence[tuple[float, float]], d0_m: float = 1.0) -
 
 _MAX_ITER = 200
 _COST_TOL = 1e-10
-_DAMPING_START = 1e-3
-_DAMPING_MIN = 1e-12
-_DAMPING_MAX = 1e12
 
 
 def fit_log_distance_iterative(
-    points: Sequence[tuple[float, float]],
-    d0_m: float = 1.0,
-    initial: Sequence[float] = (40.0, 2.0),
+    points: Sequence[tuple[float, float]], d0_m: float = 1.0
 ) -> FitResult:
-    """Damped Gauss-Newton fit of the log-distance law; must agree with the closed form.
+    """Gauss-Newton fit of the log-distance law from (40 dB, 2); must agree with the closed form.
 
     Iterates on (c, n), c being the loss at the mean log-distance, so each
-    point's Jacobian row (1, u) holds its centred log-distance u. Each iteration
-    solves (J'J + lambda diag(J'J)) delta = J'r by Cramer's rule and accepts only
-    steps that do not raise the sum of squared residuals; lambda shrinks tenfold
-    on acceptance and grows tenfold on rejection or a singular system. Centring
-    and scaling keep the steps independent of where the log-distances lie and
-    how far apart. Stops when the relative cost improvement drops below _COST_TOL.
+    point's Jacobian row (1, u) holds its centred log-distance u. Each step
+    solves J'J delta = J'r by Cramer's rule; det(J'J) = N sum(u^2) - (sum u)^2
+    is positive because the log-distances differ. The law is linear in (c, n),
+    so the first full step lands on the least-squares answer and no step is
+    shortened; later steps only shed rounding. The fit stops at the first step
+    that lowers the cost by at most _COST_TOL relative, and a step that raises
+    it, which only rounding can do, is not taken.
     """
     x, y = _validated_points(points, d0_m)
-    if len(initial) != 2:
-        raise ValueError(f"initial must hold 2 values (pl0_db, exponent), got {len(initial)}")
-    pl0 = _require_finite("initial pl0_db", initial[0])
-    n = _require_finite("initial exponent", initial[1])
     count, x_mean = len(x), math.fsum(x) / len(x)
     u = [v - x_mean for v in x]
     su, suu = math.fsum(u), math.fsum([a * a for a in u])
-    c = pl0 + n * x_mean
+    det = count * suu - su * su
+    c, n = 40.0 + 2.0 * x_mean, 2.0
 
     def residuals_at(c: float, n: float) -> list[float]:
-        return [b - (c + n * a) for a, b in zip(u, y)]
+        # y - c first keeps the rounding on the scale of the residual, not of c.
+        return [(b - c) - n * a for a, b in zip(u, y)]
 
     residuals = residuals_at(c, n)
     cost = math.fsum([r * r for r in residuals])
     history = [cost]
-    damping = _DAMPING_START
     converged = False
-    iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
         g0 = math.fsum(residuals)
         g1 = math.fsum([a * r for a, r in zip(u, residuals)])
-
-        while damping <= _DAMPING_MAX:
-            h00, h11 = count * (1.0 + damping), suu * (1.0 + damping)
-            det = h00 * h11 - su * su
-            if det <= 0.0:
-                damping *= 10.0
-                continue
-            candidate = (c + (g0 * h11 - su * g1) / det, n + (h00 * g1 - su * g0) / det)
-            new_residuals = residuals_at(*candidate)
-            new_cost = math.fsum([r * r for r in new_residuals])
-            if new_cost <= cost:
-                break
-            damping *= 10.0
-        else:  # no damping up to _DAMPING_MAX gave a step that does not raise the cost
-            break
-
+        candidate = (c + (g0 * suu - su * g1) / det, n + (count * g1 - su * g0) / det)
+        new_residuals = residuals_at(*candidate)
+        new_cost = math.fsum([r * r for r in new_residuals])
         improvement = (cost - new_cost) / max(cost, sys.float_info.min)
-        (c, n), cost, residuals = candidate, new_cost, new_residuals
+        if improvement >= 0.0:
+            (c, n), cost, residuals = candidate, new_cost, new_residuals
         history.append(cost)
-        damping = max(damping / 10.0, _DAMPING_MIN)
-        if improvement < _COST_TOL:
+        if improvement <= _COST_TOL:
             converged = True
             break
 

@@ -11,7 +11,6 @@ trust.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
@@ -29,7 +28,7 @@ def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled fixture; raises ValueError for unknown names."""
     if name not in FIXTURE_FILES:
         raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_FILES}")
-    return Path(str(resources.files("dectlink").joinpath("data", name)))
+    return Path(__file__).with_name("data") / name
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import warnings
 
 import pytest
@@ -104,6 +105,12 @@ class TestSampleStd:
         mean = sum(values) / 4
         expected = math.sqrt(sum((v - mean) ** 2 for v in values) / 3)
         assert sample_std_db(values) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("values", [[-80.0, -1e200], [-1e308, -1e308, -80.0]])
+    def test_overflowing_spread_is_an_error(self, values):
+        message = f"sample_std_db: {values[1]!r} dB overflows the squared deviations"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_std_db(values)
 
 
 class TestSuccessRates:
