@@ -33,6 +33,12 @@ RUNS = {
     "eval_okumura_hata_three_flags": (
         "model", "eval", "--model", "okumura-hata", "--d", "500", *HEIGHTS),
     "eval_inh_los_200m": ("model", "eval", "--model", "inh-los", "--d", "200"),
+    # Distances exactly on a stated distance range's edge: in range, so no distance flag.
+    "eval_inh_los_150m_edge": ("model", "eval", "--model", "inh-los", "--d", "150"),
+    "eval_inf_los_600m_edge": ("model", "eval", "--model", "inf-los", "--d", "600"),
+    **{f"eval_okumura_hata_{d}m_edge": ("model", "eval", "--model", "okumura-hata", "--d", d,
+                                        "--h-tx", "30", "--h-rx", "1.5")
+       for d in ("1000", "20000")},
     "sweep_all_to_file": ("model", "sweep", "--models", "all", "--start", "1", "--end", "1000",
                           "--points", "7", *HEIGHTS, "--out", "sweep.csv"),
     "sweep_two_models_to_stdout": ("model", "sweep", "--models", "fspl,inh-los", "--start", "1",
