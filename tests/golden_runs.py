@@ -74,6 +74,10 @@ RUNS = {
     "analyze_absurd_rssi": ("analyze", "absurd.csv"),
     "eval_two_ray_overflowing_heights": (
         "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e200", "--h-rx", "1e-200"),
+    # Heights whose squares stay finite, but whose crossover distance overflows.
+    "eval_two_ray_infinite_crossover": (
+        "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e10", "--h-rx", "1e10",
+        "--f", "1e300"),
     "fit_overflowing_losses": ("fit", "--input", "big.csv"),
     "fit_one_log_distance_closed_form": ("fit", "--input", "close.csv"),
     "fit_one_log_distance_iterative": ("fit", "--input", "close.csv", "--engine", "iterative"),
