@@ -4,13 +4,15 @@ Ties a transmit-side power budget to a path-loss model and a set of
 reliability thresholds, answering two questions: what RX power / SNR do we
 predict at a given distance, and how far can the link stretch before a
 threshold is violated. The second is answered in closed form by inverting
-the model's log-affine law, clamped to 0.1 m - 1e6 m.
+the model's log-affine law, clamped to 0.1 m - 1e6 m. A LinkBudget and a
+PathLossModel each derive what does not depend on distance when they are
+built, so a prediction evaluates the model once and adds a few terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .propagation import PathLossModel, _require_choice, _require_finite, _require_positive
 
@@ -37,7 +39,9 @@ class LinkBudget:
 
     Corrections fold antenna gain and cable loss into one signed dB term per
     side (gain minus loss); the default +1 dB per side models a small
-    monopole with negligible feed loss.
+    monopole with negligible feed loss. Construction derives their sum,
+    total_correction_db, and the receiver noise floor,
+    -174 + 10 log10(BW) + NF in dBm, once.
     """
 
     p_tx_dbm: float = 0.0
@@ -45,6 +49,8 @@ class LinkBudget:
     side_correction_rx_db: float = 1.0
     bandwidth_hz: float = 1.728e6
     noise_figure_db: float = 10.0
+    total_correction_db: float = field(init=False, compare=False, repr=False)
+    noise_floor_dbm: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_positive("bandwidth_hz", self.bandwidth_hz)
@@ -52,10 +58,13 @@ class LinkBudget:
             "p_tx_dbm", "side_correction_tx_db", "side_correction_rx_db", "noise_figure_db"
         ):
             _require_finite(name, getattr(self, name))
-
-    @property
-    def total_correction_db(self) -> float:
-        return self.side_correction_tx_db + self.side_correction_rx_db
+        object.__setattr__(
+            self, "total_correction_db", self.side_correction_tx_db + self.side_correction_rx_db
+        )
+        object.__setattr__(
+            self, "noise_floor_dbm",
+            THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db,
+        )
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,8 @@ def empirical_pl(p_tx_dbm: float, p_rx_dbm: float, budget: LinkBudget) -> float:
 
 
 def noise_floor_dbm(budget: LinkBudget) -> float:
-    """Receiver noise floor: -174 + 10 log10(BW) + NF, in dBm."""
-    return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
+    """Receiver noise floor: -174 + 10 log10(BW) + NF, in dBm, as the budget derived it."""
+    return budget.noise_floor_dbm
 
 
 def predict_rx_power_dbm(budget: LinkBudget, model: PathLossModel, d_m: float) -> float:
@@ -115,7 +124,7 @@ def predict_rx_power_dbm(budget: LinkBudget, model: PathLossModel, d_m: float) -
 
 def predict_snr_db(budget: LinkBudget, model: PathLossModel, d_m: float) -> float:
     """Predicted SNR at d_m: predicted RX power minus the noise floor."""
-    return predict_rx_power_dbm(budget, model, d_m) - noise_floor_dbm(budget)
+    return predict_rx_power_dbm(budget, model, d_m) - budget.noise_floor_dbm
 
 
 # The solver's explicit clamps: a threshold whose loss is already exceeded
@@ -164,7 +173,7 @@ def allowed_path_loss_db(
     if criterion == "rssi":
         floor = thresholds.rssi_floor_dbm(environment)
     elif criterion == "snr":
-        floor = noise_floor_dbm(budget) + thresholds.snr_floor_db(environment)
+        floor = budget.noise_floor_dbm + thresholds.snr_floor_db(environment)
     else:
         raise ValueError(f"criterion must be 'rssi' or 'snr', got {criterion!r}")
     return budget.p_tx_dbm + budget.total_correction_db - floor

@@ -61,10 +61,6 @@ class Frequency:
     def from_mhz(cls, mhz: float) -> "Frequency":
         return cls(float(mhz) * 1e6)
 
-    @classmethod
-    def from_ghz(cls, ghz: float) -> "Frequency":
-        return cls(float(ghz) * 1e9)
-
     @property
     def mhz(self) -> float:
         return self.hz / 1e6
@@ -135,32 +131,79 @@ class ValidityFlag:
         return f"{self.code}: {self.detail}"
 
 
+# Distance-free terms (p, s, div, q1, q2) of one model: its loss at d m is
+# ((p + s log10(d / div)) + q1) + q2, summed in that order so that every model
+# rounds as its textbook formula does. div is 1e3 (d in km) only for Hata.
+_Terms = tuple[float, float, float, float, float]
+
+
+def _log_affine(d_m: float, terms: _Terms) -> float:
+    """Path loss in dB at d_m (a checked distance) from a model's terms."""
+    p, s, div, q1, q2 = terms
+    return p + s * math.log10(d_m / div) + q1 + q2
+
+
+def _fspl_terms(f_hz: float) -> _Terms:
+    f_term = 20.0 * math.log10(_require_positive("frequency", f_hz))
+    return 0.0, 20.0, 1.0, f_term, 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
+
+
+def _inh_los_terms(f_hz: float) -> _Terms:
+    return 32.4, 17.3, 1.0, 20.0 * math.log10(_require_positive("frequency", f_hz) / 1e9), 0.0
+
+
+def _inf_los_terms(f_hz: float) -> _Terms:
+    return 31.84, 21.50, 1.0, 19.0 * math.log10(_require_positive("frequency", f_hz) / 1e9), 0.0
+
+
+def _two_ray_terms(geometry: AntennaGeometry) -> _Terms:
+    g = geometry
+    try:
+        heights = g.combined_gain * g.h_tx_m**2 * g.h_rx_m**2
+    except OverflowError:  # float ** raises where float * would give inf
+        heights = math.inf
+    heights = _require_positive("combined_gain * h_tx_m**2 * h_rx_m**2", heights)
+    return 0.0, 40.0, 1.0, -10.0 * math.log10(heights), 0.0
+
+
+def _hata_terms(
+    f_hz: float, geometry: AntennaGeometry, environment: HataEnvironment,
+    base_db: float, freq_db_per_decade: float, area_db: float,
+) -> _Terms:
+    """The Hata-family terms shared by okumura_hata and cost231_hata."""
+    f_mhz = _require_positive("frequency", f_hz) / 1e6
+    h_b = geometry.h_tx_m
+    c_h = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
+    p = base_db + freq_db_per_decade * math.log10(f_mhz) - 13.82 * math.log10(h_b) - c_h
+    return p, 44.9 - 6.55 * math.log10(h_b), 1e3, area_db, 0.0
+
+
+def _okumura_hata_terms(f_hz: float, geometry: AntennaGeometry,
+                        environment: HataEnvironment) -> _Terms:
+    return _hata_terms(f_hz, geometry, environment, 69.55, 26.16, 0.0)
+
+
+def _cost231_hata_terms(f_hz: float, geometry: AntennaGeometry,
+                        environment: HataEnvironment) -> _Terms:
+    return _hata_terms(f_hz, geometry, environment, 46.3, 33.9, environment.area_correction_db)
+
+
 def fspl(d_m: float, f_hz: float) -> float:
     """Free-space path loss in dB.
 
     20 log10(d) + 20 log10(f) + 20 log10(4 pi / c), d in m, f in Hz.
     """
-    d_m = _require_positive("distance", d_m)
-    f_hz = _require_positive("frequency", f_hz)
-    return (
-        20.0 * math.log10(d_m)
-        + 20.0 * math.log10(f_hz)
-        + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
-    )
+    return _log_affine(_require_positive("distance", d_m), _fspl_terms(f_hz))
 
 
 def pl_inh_los(d_m: float, f_hz: float) -> float:
     """3GPP indoor-hotspot LOS path loss in dB: 32.4 + 17.3 log10(d) + 20 log10(f_GHz)."""
-    d_m = _require_positive("distance", d_m)
-    f_hz = _require_positive("frequency", f_hz)
-    return 32.4 + 17.3 * math.log10(d_m) + 20.0 * math.log10(f_hz / 1e9)
+    return _log_affine(_require_positive("distance", d_m), _inh_los_terms(f_hz))
 
 
 def pl_inf_los(d_m: float, f_hz: float) -> float:
     """3GPP indoor-factory LOS path loss in dB: 31.84 + 21.5 log10(d) + 19 log10(f_GHz)."""
-    d_m = _require_positive("distance", d_m)
-    f_hz = _require_positive("frequency", f_hz)
-    return 31.84 + 21.50 * math.log10(d_m) + 19.0 * math.log10(f_hz / 1e9)
+    return _log_affine(_require_positive("distance", d_m), _inf_los_terms(f_hz))
 
 
 def two_ray(d_m: float, geometry: AntennaGeometry) -> float:
@@ -170,39 +213,13 @@ def two_ray(d_m: float, geometry: AntennaGeometry) -> float:
     beyond the crossover distance 4 pi h_tx h_rx / lambda; use
     two_ray_crossover_m / PathLossModel.flags to detect near-field use.
     """
-    d_m = _require_positive("distance", d_m)
-    g = geometry
-    try:
-        heights = g.combined_gain * g.h_tx_m**2 * g.h_rx_m**2
-    except OverflowError:  # float ** raises where float * would give inf
-        heights = math.inf
-    heights = _require_positive("combined_gain * h_tx_m**2 * h_rx_m**2", heights)
-    return 40.0 * math.log10(d_m) - 10.0 * math.log10(heights)
+    return _log_affine(_require_positive("distance", d_m), _two_ray_terms(geometry))
 
 
 def two_ray_crossover_m(geometry: AntennaGeometry, f_hz: float) -> float:
     """Distance below which the asymptotic two-ray form is invalid."""
     wavelength_m = SPEED_OF_LIGHT / _require_positive("frequency", f_hz)
     return 4.0 * math.pi * geometry.h_tx_m * geometry.h_rx_m / wavelength_m
-
-
-def _hata(
-    d_m: float, f_hz: float, geometry: AntennaGeometry, environment: HataEnvironment,
-    base_db: float, freq_db_per_decade: float, area_db: float,
-) -> float:
-    """The Hata-family formula shared by okumura_hata and cost231_hata."""
-    d_m = _require_positive("distance", d_m)
-    f_mhz = _require_positive("frequency", f_hz) / 1e6
-    h_b = geometry.h_tx_m
-    c_h = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
-    return (
-        base_db
-        + freq_db_per_decade * math.log10(f_mhz)
-        - 13.82 * math.log10(h_b)
-        - c_h
-        + (44.9 - 6.55 * math.log10(h_b)) * math.log10(d_m / 1e3)
-        + area_db
-    )
 
 
 def okumura_hata(
@@ -217,7 +234,8 @@ def okumura_hata(
     + [44.9 - 6.55 log10(h_b)] log10(d_km)
     with C_h the mobile height correction selected by environment.city_size.
     """
-    return _hata(d_m, f_hz, geometry, environment, 69.55, 26.16, 0.0)
+    return _log_affine(_require_positive("distance", d_m),
+                       _okumura_hata_terms(f_hz, geometry, environment))
 
 
 def cost231_hata(
@@ -232,22 +250,34 @@ def cost231_hata(
     + [44.9 - 6.55 log10(h_b)] log10(d_km) + C_m
     with C_m = 3 dB urban, 0 dB suburban/open.
     """
-    return _hata(d_m, f_hz, geometry, environment, 46.3, 33.9, environment.area_correction_db)
+    return _log_affine(_require_positive("distance", d_m),
+                       _cost231_hata_terms(f_hz, geometry, environment))
 
 
 GEOMETRY_KINDS = ("two-ray", "okumura-hata", "cost231-hata")
 HATA_KINDS = ("okumura-hata", "cost231-hata")
 
-# kind -> (model, d_m) -> dB, through the textbook free functions above.
-_FREE_FUNCTIONS = {
-    "fspl": lambda m, d_m: fspl(d_m, m.frequency.hz),
-    "inh-los": lambda m, d_m: pl_inh_los(d_m, m.frequency.hz),
-    "inf-los": lambda m, d_m: pl_inf_los(d_m, m.frequency.hz),
-    "two-ray": lambda m, d_m: two_ray(d_m, m.geometry),
-    "okumura-hata": lambda m, d_m: okumura_hata(d_m, m.frequency.hz, m.geometry, m.environment),
-    "cost231-hata": lambda m, d_m: cost231_hata(d_m, m.frequency.hz, m.geometry, m.environment),
+# kind -> model -> its terms, from the builder behind the kind's free function.
+_TERM_BUILDERS = {
+    "fspl": lambda m: _fspl_terms(m.frequency.hz),
+    "inh-los": lambda m: _inh_los_terms(m.frequency.hz),
+    "inf-los": lambda m: _inf_los_terms(m.frequency.hz),
+    "two-ray": lambda m: _two_ray_terms(m.geometry),
+    "okumura-hata": lambda m: _okumura_hata_terms(m.frequency.hz, m.geometry, m.environment),
+    "cost231-hata": lambda m: _cost231_hata_terms(m.frequency.hz, m.geometry, m.environment),
 }
-MODEL_KINDS = tuple(_FREE_FUNCTIONS)
+MODEL_KINDS = tuple(_TERM_BUILDERS)
+
+# kind -> (flag code, low, high, unit in m, detail given the value) of its stated distance
+# range, bounds in the unit; a two-ray model's range starts at its crossover, FSPL has none.
+_DISTANCE_RULES = {
+    **{kind: ("distance-out-of-range", lo, hi, 1.0,
+              "{{:.2f}} m outside {:.0f}-{:.0f} m".format(lo, hi))
+       for kind, (lo, hi) in INDOOR_DISTANCE_RANGE_M.items()},
+    **dict.fromkeys(HATA_KINDS, (
+        "distance-out-of-range", *HATA_DISTANCE_RANGE_KM, 1e3,
+        "{{:.3f}} km outside {:.0f}-{:.0f} km".format(*HATA_DISTANCE_RANGE_KM))),
+}
 
 
 @dataclass(frozen=True)
@@ -255,10 +285,12 @@ class PathLossModel:
     """One parameterized path-loss model, evaluable at any positive distance.
 
     Every supported model is affine in log10(distance):
-    PL(d) = intercept_db + slope_db_per_decade * log10(d / 1 m). Both
-    coefficients are derived from the free functions at construction, and
-    construction fails unless the slope is positive, so PL strictly
-    increases with distance.
+    PL(d) = intercept_db + slope_db_per_decade * log10(d / 1 m). Construction
+    resolves everything that does not depend on distance once: the terms the
+    free function would build, both coefficients, the stated ranges that do
+    not depend on distance, and the distance range. It fails unless the slope
+    is positive, so PL strictly increases with distance, and unless a two-ray
+    crossover distance is finite.
 
     Values are immutable after construction; evaluation is a pure function
     of (model, distance), safe for concurrent use.
@@ -277,50 +309,57 @@ class PathLossModel:
             raise ValueError(f"model {self.kind!r} needs antenna heights; set h_tx_m and h_rx_m")
         if self.kind in HATA_KINDS and self.environment is None:
             raise ValueError(f"model {self.kind!r} requires a Hata environment")
-        free = _FREE_FUNCTIONS[self.kind]
-        intercept = free(self, 1.0)
-        slope = free(self, 10.0) - intercept
+        terms = _TERM_BUILDERS[self.kind](self)
+        intercept = _log_affine(1.0, terms)
+        slope = _log_affine(10.0, terms) - intercept
         if not slope > 0.0:
             raise ValueError(
                 f"model {self.kind!r} must lose more with distance; got a slope of "
                 f"{slope!r} dB per decade"
             )
-        object.__setattr__(self, "intercept_db", intercept)
-        object.__setattr__(self, "slope_db_per_decade", slope)
-
-    def path_loss(self, d_m: float) -> float:
-        """Path loss in dB at distance d_m (meters), from the model's free function."""
-        return _FREE_FUNCTIONS[self.kind](self, d_m)
-
-    def flags(self, d_m: float) -> tuple[ValidityFlag, ...]:
-        """Out-of-domain notes for evaluating this model at d_m; empty if none."""
-        d_m = _require_positive("distance", d_m)
-        # Stated ranges: (flag code, value, (low, high), detail given value, low, high).
+        distance_rule, fixed_flags = _DISTANCE_RULES.get(self.kind), ()
         if self.kind == "two-ray":
-            crossover = two_ray_crossover_m(self.geometry, self.frequency.hz)
-            stated = (("near-field", d_m, (crossover, math.inf),
-                       "distance {:.2f} m below two-ray crossover {:.2f} m"),)
+            crossover = _require_finite(
+                "two-ray crossover distance", two_ray_crossover_m(self.geometry, self.frequency.hz))
+            detail = "distance {{:.2f}} m below two-ray crossover {:.2f} m".format(crossover)
+            distance_rule = ("near-field", crossover, math.inf, 1.0, detail)
         elif self.kind in HATA_KINDS:
             f_range_mhz = (OKUMURA_HATA_FREQ_RANGE_MHZ if self.kind == "okumura-hata"
                            else COST231_FREQ_RANGE_MHZ)
-            stated = (
+            # (flag code, value, (low, high), detail given value, low, high)
+            fixed = (
                 ("frequency-out-of-range", self.frequency.mhz, f_range_mhz,
                  "{:.3f} MHz outside {:.0f}-{:.0f} MHz"),
                 ("tx-height-out-of-range", self.geometry.h_tx_m, HATA_TX_HEIGHT_RANGE_M,
                  "h_tx {:.2f} m outside {:.0f}-{:.0f} m"),
-                ("distance-out-of-range", d_m / 1e3, HATA_DISTANCE_RANGE_KM,
-                 "{:.3f} km outside {:.0f}-{:.0f} km"),
             )
-        elif self.kind in INDOOR_DISTANCE_RANGE_M:
-            stated = (("distance-out-of-range", d_m, INDOOR_DISTANCE_RANGE_M[self.kind],
-                       "{:.2f} m outside {:.0f}-{:.0f} m"),)
-        else:
+            fixed_flags = tuple(ValidityFlag(code, detail.format(value, lo, hi))
+                                for code, value, (lo, hi), detail in fixed
+                                if not lo <= value <= hi)
+        object.__setattr__(self, "intercept_db", intercept)
+        object.__setattr__(self, "slope_db_per_decade", slope)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_distance_rule", distance_rule)
+        object.__setattr__(self, "_fixed_flags", fixed_flags)
+
+    def path_loss(self, d_m: float) -> float:
+        """Path loss in dB at distance d_m (meters), equal to the model's free function."""
+        return _log_affine(_require_positive("distance", d_m), self._terms)
+
+    def flags(self, d_m: float) -> tuple[ValidityFlag, ...]:
+        """Out-of-domain notes for evaluating this model at d_m; empty if none.
+
+        The stated ranges that do not depend on distance were checked at
+        construction; this adds the one distance range, if the model has one.
+        """
+        d_m = _require_positive("distance", d_m)
+        if self._distance_rule is None:
             return ()
-        found = []
-        for code, value, (lo, hi), detail in stated:
-            if not lo <= value <= hi:
-                found.append(ValidityFlag(code, detail.format(value, lo, hi)))
-        return tuple(found)
+        code, lo, hi, unit_m, detail = self._distance_rule
+        value = d_m / unit_m
+        if lo <= value <= hi:
+            return self._fixed_flags
+        return (*self._fixed_flags, ValidityFlag(code, detail.format(value)))
 
 
 def evaluate_sweep(

@@ -1,5 +1,6 @@
 """Link-budget arithmetic and the maximum-distance solver."""
 
+import dataclasses
 import math
 import random
 
@@ -39,6 +40,17 @@ class TestNoiseFloor:
         assert nf0 == pytest.approx(-111.62456261857125, abs=1e-9)
         nf10 = noise_floor_dbm(LinkBudget(noise_figure_db=10.0))
         assert nf10 == pytest.approx(-101.62456261857125, abs=1e-9)
+
+    def test_derived_once_and_kept_out_of_equality(self):
+        budget = LinkBudget(side_correction_tx_db=2.5, side_correction_rx_db=-0.5,
+                            bandwidth_hz=1e6, noise_figure_db=7.0)
+        assert budget.total_correction_db == 2.0
+        assert budget.noise_floor_dbm == noise_floor_dbm(budget) == -174.0 + 60.0 + 7.0
+        assert "noise_floor" not in repr(budget) and "total_correction" not in repr(budget)
+        twin = LinkBudget(side_correction_tx_db=2.5, side_correction_rx_db=-0.5,
+                          bandwidth_hz=1e6, noise_figure_db=7.0)
+        assert twin == budget and hash(twin) == hash(budget)
+        assert dataclasses.replace(budget, noise_figure_db=3.0).noise_floor_dbm == -111.0
 
     def test_rejects_non_positive_bandwidth(self):
         with pytest.raises(ValueError):

@@ -51,7 +51,7 @@ class TestFrequencyDistance:
     def test_conversions_are_exact(self):
         assert Frequency.from_mhz(1899.0).hz == 1899e6
         assert Frequency.from_mhz(1899.0).mhz == 1899.0
-        assert Frequency.from_ghz(1.899).ghz == 1.899
+        assert Frequency(1.899e9).ghz == 1.899
 
     def test_round_trips_over_random_values(self):
         rng = random.Random(42)
@@ -224,6 +224,12 @@ class TestPathLossModel:
         PathLossModel(kind, Frequency(900e6), AntennaGeometry(7e6, 1.5), URBAN)
         with pytest.raises(ValueError, match="slope"):
             PathLossModel(kind, Frequency(900e6), AntennaGeometry(7.5e6, 1.5), URBAN)
+
+    def test_two_ray_crossover_must_be_finite(self):
+        # The squared heights stay finite; 4 pi h_tx h_rx / lambda does not.
+        with pytest.raises(ValueError, match="^two-ray crossover distance must be finite"):
+            PathLossModel("two-ray", Frequency(1e300), AntennaGeometry(1e10, 1e10))
+        assert PathLossModel("fspl", Frequency(1e300), AntennaGeometry(1e10, 1e10)).flags(1.0) == ()
 
     def test_geometry_required_for_two_ray_and_hata(self):
         for kind in ("two-ray", "okumura-hata", "cost231-hata"):

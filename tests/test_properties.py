@@ -1,14 +1,17 @@
 """Property tests: the log-affine model core over random valid models,
-capture ingestion over random, oddly formatted capture files, config
-files over random valid configurations, and the two fit engines over
-random, often degenerate point sets."""
+each model against its free function and stated ranges, `model eval`
+over extreme flag values, capture ingestion over random, oddly formatted
+capture files, config files over random valid configurations, and the
+two fit engines over random, often degenerate point sets."""
 
 import dataclasses
+import io
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dectlink.budget import (
@@ -20,20 +23,32 @@ from dectlink.budget import (
     max_link_distance,
 )
 from dectlink.campaign import CAPTURE_HEADER, load_capture, mean_power_db
+from dectlink.cli import main
 from dectlink.config import RunConfig, load_config
 from dectlink.fitting import fit_log_distance, fit_log_distance_iterative
 from dectlink.propagation import (
     AREA_CLASSES,
     CITY_SIZES,
     COST231_FREQ_RANGE_MHZ,
+    HATA_DISTANCE_RANGE_KM,
+    HATA_KINDS,
     HATA_TX_HEIGHT_RANGE_M,
+    INDOOR_DISTANCE_RANGE_M,
     MODEL_KINDS,
     OKUMURA_HATA_FREQ_RANGE_MHZ,
     AntennaGeometry,
     Frequency,
     HataEnvironment,
     PathLossModel,
+    ValidityFlag,
+    cost231_hata,
     evaluate_sweep,
+    fspl,
+    okumura_hata,
+    pl_inf_los,
+    pl_inh_los,
+    two_ray,
+    two_ray_crossover_m,
 )
 
 # Derandomized so that the suite gives the same verdict on every run.
@@ -104,6 +119,118 @@ def test_tx_power_scales_reach_by_the_slope(model, p_tx_dbm, delta_db, environme
     if 0.1 < near and far < 1e6:
         expected = 10.0 ** (delta_db / model.slope_db_per_decade)
         assert far / near == pytest.approx(expected, rel=1e-9)
+
+
+# ------------------------------------------------------------------ exact agreement
+
+# kind -> (model, d_m) -> dB through the kind's textbook free function.
+FREE_FUNCTIONS = {
+    "fspl": lambda m, d_m: fspl(d_m, m.frequency.hz),
+    "inh-los": lambda m, d_m: pl_inh_los(d_m, m.frequency.hz),
+    "inf-los": lambda m, d_m: pl_inf_los(d_m, m.frequency.hz),
+    "two-ray": lambda m, d_m: two_ray(d_m, m.geometry),
+    "okumura-hata": lambda m, d_m: okumura_hata(d_m, m.frequency.hz, m.geometry, m.environment),
+    "cost231-hata": lambda m, d_m: cost231_hata(d_m, m.frequency.hz, m.geometry, m.environment),
+}
+
+
+def reference_flags(model, d_m):
+    """The stated-ranges table, built and checked in full on every call."""
+    if model.kind == "two-ray":
+        crossover = two_ray_crossover_m(model.geometry, model.frequency.hz)
+        stated = (("near-field", d_m, (crossover, math.inf),
+                   "distance {:.2f} m below two-ray crossover {:.2f} m"),)
+    elif model.kind in HATA_KINDS:
+        f_range_mhz = (OKUMURA_HATA_FREQ_RANGE_MHZ if model.kind == "okumura-hata"
+                       else COST231_FREQ_RANGE_MHZ)
+        stated = (
+            ("frequency-out-of-range", model.frequency.mhz, f_range_mhz,
+             "{:.3f} MHz outside {:.0f}-{:.0f} MHz"),
+            ("tx-height-out-of-range", model.geometry.h_tx_m, HATA_TX_HEIGHT_RANGE_M,
+             "h_tx {:.2f} m outside {:.0f}-{:.0f} m"),
+            ("distance-out-of-range", d_m / 1e3, HATA_DISTANCE_RANGE_KM,
+             "{:.3f} km outside {:.0f}-{:.0f} km"),
+        )
+    elif model.kind in INDOOR_DISTANCE_RANGE_M:
+        stated = (("distance-out-of-range", d_m, INDOOR_DISTANCE_RANGE_M[model.kind],
+                   "{:.2f} m outside {:.0f}-{:.0f} m"),)
+    else:
+        return ()
+    return tuple(ValidityFlag(code, detail.format(value, lo, hi))
+                 for code, value, (lo, hi), detail in stated if not lo <= value <= hi)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# The edges of every stated range that does not depend on distance, in its unit.
+FREQ_EDGES_MHZ = (*OKUMURA_HATA_FREQ_RANGE_MHZ, *COST231_FREQ_RANGE_MHZ)
+DISTANCE_EDGES_M = (*{d for lo_hi in INDOOR_DISTANCE_RANGE_M.values() for d in lo_hi},
+                    *(1e3 * km for km in HATA_DISTANCE_RANGE_KM))
+
+
+@st.composite
+def any_models(draw) -> PathLossModel:
+    """A model of any kind, with parameters inside and far outside its stated ranges."""
+    f_mhz = draw(st.one_of(log_uniform(1.0, 1e5), st.sampled_from(FREQ_EDGES_MHZ)))
+    h_tx = draw(st.one_of(log_uniform(1e-2, 1e4), st.sampled_from(HATA_TX_HEIGHT_RANGE_M)))
+    geometry = AntennaGeometry(h_tx, draw(log_uniform(1e-2, 1e4)), draw(log_uniform(1e-2, 1e2)))
+    environment = HataEnvironment(draw(st.sampled_from(CITY_SIZES)),
+                                  draw(st.sampled_from(AREA_CLASSES)))
+    return PathLossModel(draw(st.sampled_from(MODEL_KINDS)), Frequency.from_mhz(f_mhz),
+                         geometry, environment)
+
+
+@st.composite
+def distances_for(draw, model) -> list[float]:
+    """Distances over 1e-3..1e7 m, the exact domain edges, and their float neighbours."""
+    edges = [*DISTANCE_EDGES_M, two_ray_crossover_m(model.geometry, model.frequency.hz)]
+    out = []
+    for d_m in draw(st.lists(st.one_of(log_uniform(1e-3, 1e7), st.floats(1e-3, 1e7),
+                                       st.sampled_from(edges)), min_size=1, max_size=10)):
+        out.append(draw(st.sampled_from((d_m, math.nextafter(d_m, 0.0),
+                                         math.nextafter(d_m, math.inf)))))
+    return out
+
+
+@settings(PROPERTY, max_examples=400)
+@given(any_models(), st.data())
+def test_model_matches_free_function_and_stated_ranges_exactly(model, data):
+    for d_m in data.draw(distances_for(model)):
+        assert model.path_loss(d_m) == FREE_FUNCTIONS[model.kind](model, d_m)
+        assert model.flags(d_m) == reference_flags(model, d_m)
+
+
+EXTREME_VALUES = st.sampled_from((0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+                                  -math.inf))
+# Each optional flag of `model eval` with its ordinary values; omitted when None is drawn.
+EVAL_FLAGS = {
+    "--h-tx": st.floats(1e-3, 1e4),
+    "--h-rx": st.floats(1e-3, 1e4),
+    "--antenna-gain": st.floats(1e-3, 1e3),
+    "--f": st.floats(1e6, 1e11),
+}
+# A nan or inf printed as a number; a name such as inf-los does not count.
+NON_FINITE = re.compile(r"(?<![\w.-])[-+]?(nan|inf)(?![\w-])", re.IGNORECASE)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(MODEL_KINDS), st.one_of(EXTREME_VALUES, st.floats(1e-3, 1e7)),
+       st.fixed_dictionaries({flag: st.one_of(st.none(), EXTREME_VALUES, ordinary)
+                              for flag, ordinary in EVAL_FLAGS.items()}))
+# Two-ray heights whose squares overflow, and heights whose crossover distance overflows.
+@example("two-ray", 100.0, {"--h-tx": 1e308, "--h-rx": 1.5, "--antenna-gain": None, "--f": None})
+@example("two-ray", 100.0, {"--h-tx": 1e4, "--h-rx": 1e4, "--antenna-gain": None, "--f": 1e308})
+def test_model_eval_exits_0_or_2_and_prints_only_finite_numbers(kind, d_m, values):
+    argv = ["model", "eval", "--model", kind, f"--d={d_m!r}"]
+    argv += [f"{flag}={value!r}" for flag, value in values.items() if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
 
 
 # ------------------------------------------------------------------ captures
