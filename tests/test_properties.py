@@ -164,7 +164,7 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
-# The edges of every stated range that does not depend on distance, in its unit.
+# The edges of the stated Hata frequency ranges (MHz) and of the fixed distance ranges (m).
 FREQ_EDGES_MHZ = (*OKUMURA_HATA_FREQ_RANGE_MHZ, *COST231_FREQ_RANGE_MHZ)
 DISTANCE_EDGES_M = (*{d for lo_hi in INDOOR_DISTANCE_RANGE_M.values() for d in lo_hi},
                     *(1e3 * km for km in HATA_DISTANCE_RANGE_KM))
