@@ -78,6 +78,12 @@ RUNS = {
     "eval_two_ray_infinite_crossover": (
         "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e10", "--h-rx", "1e10",
         "--f", "1e300"),
+    # Subnormal frequencies, which are positive but round to 0 in GHz or MHz.
+    "eval_inh_los_subnormal_frequency": (
+        "model", "eval", "--model", "inh-los", "--d", "100", "--f", "1e-320"),
+    "eval_okumura_hata_subnormal_frequency": (
+        "model", "eval", "--model", "okumura-hata", "--d", "1000", "--h-tx", "30", "--h-rx", "1.5",
+        "--f", "5e-324"),
     "fit_overflowing_losses": ("fit", "--input", "big.csv"),
     "fit_one_log_distance_closed_form": ("fit", "--input", "close.csv"),
     "fit_one_log_distance_iterative": ("fit", "--input", "close.csv", "--engine", "iterative"),
