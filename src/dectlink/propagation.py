@@ -143,17 +143,25 @@ def _log_affine(d_m: float, terms: _Terms) -> float:
     return p + s * math.log10(d_m / div) + q1 + q2
 
 
+def _frequency_in(f_hz: float, unit_hz: float, unit: str) -> float:
+    """A checked frequency in a model's native unit, which must not round to 0 there."""
+    f_hz = _require_positive("frequency", f_hz)
+    if f_hz / unit_hz == 0.0:
+        raise ValueError(f"frequency {f_hz!r} Hz underflows to 0 {unit}")
+    return f_hz / unit_hz
+
+
 def _fspl_terms(f_hz: float) -> _Terms:
     f_term = 20.0 * math.log10(_require_positive("frequency", f_hz))
     return 0.0, 20.0, 1.0, f_term, 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
 
 
 def _inh_los_terms(f_hz: float) -> _Terms:
-    return 32.4, 17.3, 1.0, 20.0 * math.log10(_require_positive("frequency", f_hz) / 1e9), 0.0
+    return 32.4, 17.3, 1.0, 20.0 * math.log10(_frequency_in(f_hz, 1e9, "GHz")), 0.0
 
 
 def _inf_los_terms(f_hz: float) -> _Terms:
-    return 31.84, 21.50, 1.0, 19.0 * math.log10(_require_positive("frequency", f_hz) / 1e9), 0.0
+    return 31.84, 21.50, 1.0, 19.0 * math.log10(_frequency_in(f_hz, 1e9, "GHz")), 0.0
 
 
 def _two_ray_terms(geometry: AntennaGeometry) -> _Terms:
@@ -171,7 +179,7 @@ def _hata_terms(
     base_db: float, freq_db_per_decade: float, area_db: float,
 ) -> _Terms:
     """The Hata-family terms shared by okumura_hata and cost231_hata."""
-    f_mhz = _require_positive("frequency", f_hz) / 1e6
+    f_mhz = _frequency_in(f_hz, 1e6, "MHz")
     h_b = geometry.h_tx_m
     c_h = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
     p = base_db + freq_db_per_decade * math.log10(f_mhz) - 13.82 * math.log10(h_b) - c_h

@@ -13,6 +13,7 @@ from dectlink.propagation import (
     HataEnvironment,
     PathLossModel,
     evaluate_sweep,
+    pl_inf_los,
 )
 
 F = Frequency(1.899e9)
@@ -38,6 +39,13 @@ CASES = {
         lambda: PathLossModel("two-ray", F, AntennaGeometry(1e200, 1e-200)),
         "combined_gain * h_tx_m**2 * h_rx_m**2 must be a positive finite number, got inf"),
     "config-heights": (lambda: RunConfig().model("two-ray"), NO_HEIGHTS),
+    # Positive frequencies too small to survive the model's conversion to GHz or MHz.
+    "frequency-in-ghz": (lambda: pl_inf_los(100.0, 2e-315),
+                         "frequency 2e-315 Hz underflows to 0 GHz"),
+    "frequency-in-mhz": (
+        lambda: PathLossModel("cost231-hata", Frequency(5e-324), AntennaGeometry(30.0, 1.5),
+                              HataEnvironment()),
+        "frequency 5e-324 Hz underflows to 0 MHz"),
 }
 
 
