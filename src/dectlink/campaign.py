@@ -18,16 +18,22 @@ capture, giving its location id, their count and the first seq.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
 from .propagation import _require_finite, _require_positive
 from .tabular import field_parsers, float_column, int_column, parse_key_values, read_table
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+    from pathlib import Path
+    from typing import Any
 
 _ENVIRONMENT_RE = re.compile(r"^(los|nlos)-(indoor|outdoor)$")
 
@@ -334,18 +340,18 @@ def read_capture_csv(path: str | Path) -> CaptureColumns:
 
 def read_capture_meta(path: str | Path) -> dict[str, Any]:
     """Parse a key=value sidecar into typed fields; ValueError on a bad or missing key."""
-    path = Path(path)
-    values = parse_key_values(path.read_text(encoding="utf-8-sig"), _META_PARSERS, path.name)
+    name = os.path.basename(path)
+    with open(path, encoding="utf-8-sig") as stream:
+        values = parse_key_values(stream.read(), _META_PARSERS, name)
     missing = [k for k in META_KEYS if k not in values]
     if missing:
-        raise ValueError(f"{path.name}: missing keys: {', '.join(missing)}")
+        raise ValueError(f"{name}: missing keys: {', '.join(missing)}")
     return values
 
 
 def load_capture(csv_path: str | Path) -> LocationCapture:
     """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta)."""
-    csv_path = Path(csv_path)
-    meta = read_capture_meta(csv_path.with_suffix(".meta"))
+    meta = read_capture_meta(os.path.splitext(csv_path)[0] + ".meta")
     numbers, columns = _read_capture_columns(csv_path)
     try:
         return LocationCapture(**meta, columns=columns)

@@ -5,6 +5,10 @@ Subcommands: `model eval`, `model sweep`, `analyze`, `fit`, `plan`,
 "threshold unreachable" planning outcomes), 2 for usage and domain errors,
 1 for unexpected internal failures.
 
+Each subcommand imports only the modules it uses. Every one loads `config`,
+`budget`, `propagation` and `tabular`; `analyze` adds `campaign`, `fit`
+adds `fitting` and `report` adds `fixtures`, each inside its handler.
+
 Human-readable output rounds dB and meters to two decimals; CSV output
 carries full precision so downstream plotting loses nothing. CSV bytes are
 deterministic for identical inputs and configuration.
@@ -19,8 +23,6 @@ import sys
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import fields
-from typing import Iterable, Iterator, Sequence, TextIO
 
 from .budget import (
     ENVIRONMENTS,
@@ -30,14 +32,16 @@ from .budget import (
     distance_for_path_loss,
     noise_floor_dbm,
 )
-from .campaign import CampaignRecord, load_capture, max_reliable_distance, summarize
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
-from .fitting import fit_log_distance, fit_log_distance_iterative
-from .fixtures import load_pathloss_comparison
 from .propagation import (
     AREA_CLASSES, CITY_SIZES, GEOMETRY_KINDS, MODEL_KINDS, _require_finite, evaluate_sweep,
 )
 from .tabular import float_column, read_table
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
+    from typing import TextIO
 
 # One flag per RunConfig field, in --help order: (flag, metavar or choices, help).
 _CONFIG_FLAGS = {
@@ -163,9 +167,6 @@ def cmd_model_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_ANALYZE_COLUMNS = tuple(f.name for f in fields(CampaignRecord))
-
-
 def _cell(value: str | bool | int | float | None) -> str:
     """One analyze CSV cell: text as is, flags as 1/0, counts via str, the rest via _num."""
     if isinstance(value, bool):
@@ -176,6 +177,10 @@ def _cell(value: str | bool | int | float | None) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from dataclasses import fields
+
+    from .campaign import CampaignRecord, load_capture, max_reliable_distance, summarize
+
     cfg = _resolve_config(args)
     budget = cfg.budget()
     thresholds = cfg.thresholds()
@@ -188,8 +193,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records.sort(key=lambda r: (r.distance_m, r.location_id))
 
     if args.format == "csv":
-        rows = ([_cell(getattr(r, name)) for name in _ANALYZE_COLUMNS] for r in records)
-        _write_csv(args.out, _ANALYZE_COLUMNS, rows)
+        columns = tuple(f.name for f in fields(CampaignRecord))
+        rows = ([_cell(getattr(r, name)) for name in columns] for r in records)
+        _write_csv(args.out, columns, rows)
         return 0
 
     lines = []
@@ -226,6 +232,8 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .fitting import fit_log_distance, fit_log_distance_iterative
+
     points = _read_points_csv(args.input)
     if args.engine == "closed-form":
         result = fit_log_distance(points, d0_m=args.d0)
@@ -306,6 +314,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .fixtures import load_pathloss_comparison
+
     # No delta meets a negative or NaN tolerance, and every delta meets an infinite one.
     if _require_finite("tolerance", args.tolerance) < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {args.tolerance!r}")

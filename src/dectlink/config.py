@@ -9,15 +9,20 @@ reads them; DECTLINK_CONFIG names a default file path.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Any, Mapping
 
 from .budget import LinkBudget, ReliabilityThresholds
 from .propagation import (
     HATA_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel, _require_positive,
 )
 from .tabular import field_parsers, parse_key_values
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Mapping
+    from pathlib import Path
+    from typing import Any
 
 CONFIG_ENV_VAR = "DECTLINK_CONFIG"
 
@@ -121,11 +126,12 @@ def load_config(
             given[key] = value
     if path is None:
         return RunConfig(**given)
-    path = Path(path)
-    from_file = parse_config_text(path.read_text(encoding="utf-8-sig"), source=path.name)
+    name = os.path.basename(path)
+    with open(path, encoding="utf-8-sig") as stream:
+        from_file = parse_config_text(stream.read(), source=name)
     # Every RunConfig check is on one field, so an error here names a value from the file.
     try:
         RunConfig(**{k: v for k, v in from_file.items() if k not in given})
     except ValueError as exc:
-        raise ValueError(f"{path.name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
     return RunConfig(**(from_file | given))

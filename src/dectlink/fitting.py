@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .propagation import _require_positive
 

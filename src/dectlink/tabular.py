@@ -20,8 +20,12 @@ import math
 import re
 from dataclasses import fields
 from itertools import repeat
-from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, get_type_hints
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Mapping, Sequence
+    from pathlib import Path
+    from typing import Any
 
 _SKIPPED_STARTS = frozenset(("", "#"))
 
@@ -32,8 +36,8 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> tuple[Sequence[int]
     Cells are stripped of surrounding blanks. Raises ValueError for a missing
     or wrong header and for a row whose cell count differs from the header's.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    with open(path, encoding="utf-8-sig") as stream:
+        lines = stream.read().splitlines()
     starts = (line.lstrip()[:1] for line in lines)
     header_no = next((n for n, start in enumerate(starts, 1) if start not in _SKIPPED_STARTS), 0)
     if not header_no:
@@ -126,8 +130,10 @@ def _none_or_float(text: str) -> float | None:
     return None if text.lower() in ("", "none") else _finite_float(text)
 
 
-# Value parsers for key=value files, by dataclass field annotation.
-_FIELD_PARSERS = {str: str, int: _integer, float: _finite_float, float | None: _none_or_float}
+# Value parsers for key=value files, by dataclass field annotation. Every module here
+# postpones annotations, so a field's type is the annotation's source text.
+_FIELD_PARSERS = {"str": str, "int": _integer, "float": _finite_float,
+                  "float | None": _none_or_float}
 
 
 def field_parsers(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[str], Any]]:
@@ -135,8 +141,7 @@ def field_parsers(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[
 
     `float | None` also reads 'none' or an empty value as None.
     """
-    hints = get_type_hints(cls)
-    return {f.name: _FIELD_PARSERS[hints[f.name]] for f in fields(cls) if f.name not in skip}
+    return {f.name: _FIELD_PARSERS[f.type] for f in fields(cls) if f.name not in skip}
 
 
 _INLINE_COMMENT = re.compile(r"\s#")

@@ -1,6 +1,6 @@
 """Property tests: the log-affine model core over random valid models,
-each model against its free function and stated ranges, `model eval`
-over extreme flag values, capture ingestion over random, oddly formatted
+each model against its free function and stated ranges, `model eval` and
+`plan` over extreme flag values, capture ingestion over random, oddly formatted
 capture files, config files over random valid configurations, and the
 two fit engines over random, often degenerate point sets."""
 
@@ -23,7 +23,7 @@ from dectlink.budget import (
     max_link_distance,
 )
 from dectlink.campaign import CAPTURE_HEADER, load_capture, mean_power_db
-from dectlink.cli import main
+from dectlink.cli import _CONFIG_FLAGS, main
 from dectlink.config import RunConfig, load_config
 from dectlink.fitting import fit_log_distance, fit_log_distance_iterative
 from dectlink.propagation import (
@@ -225,6 +225,53 @@ NON_FINITE = re.compile(r"(?<![\w.-])[-+]?(nan|inf)(?![\w-])", re.IGNORECASE)
 def test_model_eval_exits_0_or_2_and_prints_only_finite_numbers(kind, d_m, values):
     argv = ["model", "eval", "--model", kind, f"--d={d_m!r}"]
     argv += [f"{flag}={value!r}" for flag, value in values.items() if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+# Every config flag of `plan`: ordinary values, with the extreme ones for each numeric flag.
+ORDINARY_PLAN_VALUES = {**EVAL_FLAGS, "--bandwidth": st.floats(1e3, 1e8),
+                        "--min-sr": st.floats(0.0, 100.0)}
+PLAN_FLAGS = {
+    flag: st.sampled_from(shape) if isinstance(shape, tuple)
+    else st.one_of(EXTREME_VALUES, ORDINARY_PLAN_VALUES.get(flag, st.floats(-200.0, 200.0)))
+    for flag, shape, _ in _CONFIG_FLAGS.values()
+}
+# Model lists as typed: known kinds, repeats, blanks, empty items and unknown names.
+MODEL_LISTS = st.one_of(
+    st.just("all"),
+    st.lists(st.sampled_from((*MODEL_KINDS, " fspl ", "", "bogus")), min_size=1,
+             max_size=3).map(",".join),
+)
+
+
+
+
+@st.composite
+def plan_flags(draw) -> dict:
+    """A few config flags, each with an ordinary or an extreme value; heights often set."""
+    heights = draw(st.sampled_from(({}, {"--h-tx": 10.0, "--h-rx": 1.5})))
+    chosen = draw(st.lists(st.sampled_from(list(PLAN_FLAGS)), unique=True, max_size=5))
+    return heights | {flag: draw(PLAN_FLAGS[flag]) for flag in chosen}
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(ENVIRONMENTS), MODEL_LISTS,
+       st.sampled_from((None, "rssi", "snr", "both")), st.sampled_from((None, "table", "csv")),
+       plan_flags())
+# Corrections whose sum overflows to inf, with every value finite.
+@example("outdoor", "fspl", None, None, {"--correction-tx": 1e308, "--correction-rx": 1e308})
+def test_plan_exits_0_or_2_and_prints_only_finite_numbers(environment, models, criterion,
+                                                          fmt, values):
+    argv = ["plan", "--environment", environment, f"--models={models}"]
+    argv += [f"--{name}={value}" for name, value in (("criterion", criterion), ("format", fmt))
+             if value is not None]
+    argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+             for flag, value in values.items()]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
