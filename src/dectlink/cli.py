@@ -23,6 +23,7 @@ import sys
 import warnings
 from array import array
 from contextlib import contextmanager
+from dataclasses import fields
 
 from .budget import (
     ENVIRONMENTS,
@@ -177,8 +178,6 @@ def _cell(value: str | bool | int | float | None) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from dataclasses import fields
-
     from .campaign import CampaignRecord, load_capture, max_reliable_distance, summarize
 
     cfg = _resolve_config(args)

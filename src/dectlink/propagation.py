@@ -145,10 +145,10 @@ def _log_affine(d_m: float, terms: _Terms) -> float:
 
 def _frequency_in(f_hz: float, unit_hz: float, unit: str) -> float:
     """A checked frequency in a model's native unit, which must not round to 0 there."""
-    f_hz = _require_positive("frequency", f_hz)
-    if f_hz / unit_hz == 0.0:
-        raise ValueError(f"frequency {f_hz!r} Hz underflows to 0 {unit}")
-    return f_hz / unit_hz
+    value = _require_positive("frequency", f_hz) / unit_hz
+    if value == 0.0:
+        raise ValueError(f"frequency {float(f_hz)!r} Hz underflows to 0 {unit}")
+    return value
 
 
 def _fspl_terms(f_hz: float) -> _Terms:
