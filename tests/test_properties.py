@@ -215,6 +215,16 @@ EVAL_FLAGS = {
 NON_FINITE = re.compile(r"(?<![\w.-])[-+]?(nan|inf)(?![\w-])", re.IGNORECASE)
 
 
+def exits_0_or_2_with_finite_numbers(argv: list[str]) -> None:
+    """Run the CLI in process: it exits 0 or 2, and after exit 0 prints no nan or inf number."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
 @settings(PROPERTY, max_examples=300)
 @given(st.sampled_from(MODEL_KINDS), st.one_of(EXTREME_VALUES, st.floats(1e-3, 1e7)),
        st.fixed_dictionaries({flag: st.one_of(st.none(), EXTREME_VALUES, ordinary)
@@ -225,12 +235,7 @@ NON_FINITE = re.compile(r"(?<![\w.-])[-+]?(nan|inf)(?![\w-])", re.IGNORECASE)
 def test_model_eval_exits_0_or_2_and_prints_only_finite_numbers(kind, d_m, values):
     argv = ["model", "eval", "--model", kind, f"--d={d_m!r}"]
     argv += [f"{flag}={value!r}" for flag, value in values.items() if value is not None]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2), (argv, err.getvalue())
-    if code == 0:
-        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    exits_0_or_2_with_finite_numbers(argv)
 
 
 # Every config flag of `plan`: ordinary values, with the extreme ones for each numeric flag.
@@ -247,8 +252,6 @@ MODEL_LISTS = st.one_of(
     st.lists(st.sampled_from((*MODEL_KINDS, " fspl ", "", "bogus")), min_size=1,
              max_size=3).map(",".join),
 )
-
-
 
 
 @st.composite
@@ -272,12 +275,7 @@ def test_plan_exits_0_or_2_and_prints_only_finite_numbers(environment, models, c
              if value is not None]
     argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
              for flag, value in values.items()]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2), (argv, err.getvalue())
-    if code == 0:
-        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    exits_0_or_2_with_finite_numbers(argv)
 
 
 # ------------------------------------------------------------------ captures
