@@ -1,7 +1,7 @@
 """What a run loads, and the lazy `dectlink` namespace that lets it load little.
 
-Each import-set test runs a fresh `python -S` interpreter, so no earlier
-import in the test session can hide a module that a run pulls in.
+Each import-set test runs a fresh `python -S` interpreter, so no module
+that other tests imported earlier can hide one that a run pulls in.
 """
 
 import importlib
