@@ -52,6 +52,9 @@ RUNS = {
     "analyze_table": ("analyze", "near.csv", "far.csv"),
     "analyze_csv": ("analyze", "near.csv", "far.csv", "--format", "csv"),
     "analyze_glitch_warning": ("analyze", "hot.csv"),
+    # Empty CSV cells: a capture with no signal at all, and the report without heights.
+    "analyze_silent_csv": ("analyze", "silent.csv", "--format", "csv"),
+    "report_csv_without_heights": ("report", "--format", "csv"),
     "fit_closed_form": ("fit", "--input", "points.csv", "--engine", "closed-form"),
     "fit_iterative": ("fit", "--input", "noisy.csv", "--engine", "iterative"),
     "fit_d0_far_beyond_the_points": ("fit", "--input", "tiny.csv", "--d0", "1e300"),
@@ -98,6 +101,7 @@ def prepare(workdir: Path) -> None:
     hot = synth_capture_rows(3, n=50)
     hot[7] = (7, 14.0, 14.0, 12.0, 1, 1)
     write_capture(workdir, "hot", hot)
+    write_capture(workdir, "silent", [(seq, None, None, None, 0, 0) for seq in range(4)])
     # A finite RSSI whose squared deviation from the mean overflows.
     write_capture(workdir, "absurd", [(0, -80, -80, 10, 1, 1), (1, -1e200, -80, 10, 1, 1)])
     (workdir / "points.csv").write_text("distance_m,pl_db\n10,60\n100,81\n1000,99\n")
