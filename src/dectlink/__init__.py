@@ -13,7 +13,7 @@ _EXPORTS = {
     "budget": (
         "LinkBudget", "ReliabilityThresholds", "ThresholdUnreachable", "allowed_path_loss_db",
         "distance_for_path_loss", "empirical_pl", "is_reliable", "max_link_distance",
-        "noise_floor_dbm", "predict_rx_power_dbm", "predict_snr_db",
+        "predict_rx_power_dbm", "predict_snr_db",
     ),
     "campaign": (
         "CampaignRecord", "LocationCapture", "load_capture", "max_reliable_distance",

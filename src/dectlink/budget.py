@@ -112,11 +112,6 @@ def empirical_pl(p_tx_dbm: float, p_rx_dbm: float, budget: LinkBudget) -> float:
     return p_tx_dbm - p_rx_dbm + budget.total_correction_db
 
 
-def noise_floor_dbm(budget: LinkBudget) -> float:
-    """Receiver noise floor: -174 + 10 log10(BW) + NF, in dBm, as the budget derived it."""
-    return budget.noise_floor_dbm
-
-
 def predict_rx_power_dbm(budget: LinkBudget, model: PathLossModel, d_m: float) -> float:
     """Predicted RX power at d_m: p_tx + corrections - model path loss."""
     return budget.p_tx_dbm + budget.total_correction_db - model.path_loss(d_m)

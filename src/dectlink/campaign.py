@@ -306,38 +306,6 @@ def _check_rows(columns: CaptureColumns, numbers: Sequence[int], where: str) -> 
             raise ValueError(f"{at}: {channel}_crc_ok=1 but {channel}_rssi_dbm is empty")
 
 
-def _read_capture_columns(path: str | Path) -> tuple[Sequence[int], CaptureColumns]:
-    """The file's line numbers and its columns, before the row rules are checked."""
-    numbers, cells = read_table(path, CAPTURE_HEADER)
-    columns = CaptureColumns(
-        tuple(int_column(cells[0], numbers, "seq")),
-        *(tuple(float_column(cells[i], numbers, CAPTURE_HEADER[i], optional=True))
-          for i in (1, 2, 3)),
-        *(_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)),
-    )
-    return numbers, columns
-
-
-def read_capture_csv(path: str | Path) -> CaptureColumns:
-    """Parse a capture CSV into its columns; raises ValueError with line numbers.
-
-    Expected header: seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok.
-    Lines whose first non-blank character is '#', and empty lines, are
-    skipped. Empty RSSI cells mean nothing was received on that channel,
-    which is only consistent with a 0 CRC flag.
-
-    Each check runs over a whole column, in the order: cell count, the seq
-    integers, the RSSI and SNR numbers, the two CRC flags, then the row
-    rules (seq >= 0, seq unique, CRC against RSSI). A file with one faulty
-    row gets the message a row-by-row scan would give; with faults in
-    several rows, the message names the first row failing the earliest
-    check, which need not be the first faulty row.
-    """
-    numbers, columns = _read_capture_columns(path)
-    _check_rows(columns, numbers, "line {}")
-    return columns
-
-
 def read_capture_meta(path: str | Path) -> dict[str, Any]:
     """Parse a key=value sidecar into typed fields; ValueError on a bad or missing key."""
     name = os.path.basename(path)
@@ -350,9 +318,31 @@ def read_capture_meta(path: str | Path) -> dict[str, Any]:
 
 
 def load_capture(csv_path: str | Path) -> LocationCapture:
-    """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta)."""
+    """Load a capture CSV plus its sidecar (foo.csv pairs with foo.meta).
+
+    Expected header: seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok.
+    Lines whose first non-blank character is '#', and empty lines, are
+    skipped. Empty RSSI cells mean nothing was received on that channel,
+    which is only consistent with a 0 CRC flag.
+
+    The sidecar is parsed first. Each check on the CSV then runs over a
+    whole column, in the order: cell count, the seq integers, the RSSI and
+    SNR numbers, the two CRC flags, then the row rules (seq >= 0, seq
+    unique, CRC against RSSI). The sidecar's values, request_count against
+    the CRC-ok rows among them, are checked last. Errors in the CSV name
+    the file line (`line N:`). A file with one faulty row
+    gets the message a row-by-row scan would give; with faults in several
+    rows, the message names the first row failing the earliest check,
+    which need not be the first faulty row.
+    """
     meta = read_capture_meta(os.path.splitext(csv_path)[0] + ".meta")
-    numbers, columns = _read_capture_columns(csv_path)
+    numbers, cells = read_table(csv_path, CAPTURE_HEADER)
+    columns = CaptureColumns(
+        tuple(int_column(cells[0], numbers, "seq")),
+        *(tuple(float_column(cells[i], numbers, CAPTURE_HEADER[i], optional=True))
+          for i in (1, 2, 3)),
+        *(_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)),
+    )
     try:
         return LocationCapture(**meta, columns=columns)
     except ValueError:

@@ -10,7 +10,8 @@ Each subcommand imports only the modules it uses. Every one loads `config`,
 adds `fitting` and `report` adds `fixtures`, each inside its handler.
 
 Human-readable output rounds dB and meters to two decimals; CSV output
-carries full precision so downstream plotting loses nothing. CSV bytes are
+carries full precision so downstream plotting loses nothing: `csv.writer`
+writes each float as its repr and None as an empty cell. CSV bytes are
 deterministic for identical inputs and configuration.
 """
 
@@ -31,7 +32,6 @@ from .budget import (
     ThresholdUnreachable,
     allowed_path_loss_db,
     distance_for_path_loss,
-    noise_floor_dbm,
 )
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .propagation import (
@@ -72,11 +72,6 @@ _REPORT_MODEL_COLUMNS = (
 )
 
 
-def _num(value: float | None) -> str:
-    """Full-precision CSV cell; empty for missing values."""
-    return "" if value is None else repr(float(value))
-
-
 def _fmt2(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
@@ -99,8 +94,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
         raise _StdoutClosed from None
 
 
-def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
-    """Write the header, then each row as the iterable yields it."""
+def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write the header, then each row as the iterable yields it: floats as repr, None as ''."""
     with _output(out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -164,17 +159,8 @@ def cmd_model_sweep(args: argparse.Namespace) -> int:
         columns.append(array("d", (pl for _, pl in pairs)))
         del pairs
     header = ["distance_m"] + [f"{kind}_db" for kind in kinds]
-    _write_csv(args.out, header, (map(_num, row) for row in zip(*columns)))
+    _write_csv(args.out, header, zip(*columns))
     return 0
-
-
-def _cell(value: str | bool | int | float | None) -> str:
-    """One analyze CSV cell: text as is, flags as 1/0, counts via str, the rest via _num."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (str, int)):
-        return str(value)
-    return _num(value)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -193,7 +179,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.format == "csv":
         columns = tuple(f.name for f in fields(CampaignRecord))
-        rows = ([_cell(getattr(r, name)) for name in columns] for r in records)
+        rows = ({**vars(r), "reliable": int(r.reliable)}.values() for r in records)
         _write_csv(args.out, columns, rows)
         return 0
 
@@ -282,9 +268,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     if args.format == "csv":
         csv_rows = [
-            [kind, criterion, _num(allowed),
-             "unreachable" if reach is None else "capped" if reach >= SOLVE_CAP_M else _num(reach),
-             "1" if binds else "0"]
+            [kind, criterion, allowed,
+             "unreachable" if reach is None else "capped" if reach >= SOLVE_CAP_M else reach,
+             int(binds)]
             for kind, records in plans.items()
             for criterion, allowed, reach, binds in records
         ]
@@ -295,7 +281,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     lines = [
         f"environment: {args.environment}   tx power: {budget.p_tx_dbm:.2f} dBm   "
         f"corrections: {budget.total_correction_db:+.2f} dB   "
-        f"noise floor: {noise_floor_dbm(budget):.2f} dBm"
+        f"noise floor: {budget.noise_floor_dbm:.2f} dBm"
     ]
     for kind, records in plans.items():
         lines.append(f"model {kind}:")
@@ -330,23 +316,23 @@ def cmd_report(args: argparse.Namespace) -> int:
         for kind, _ in _REPORT_MODEL_COLUMNS
         for column in ("published_db", "computed_db", "delta_db", "status")
     ]
-    rows: list[list[str]] = []
+    rows: list[list[str | float | None]] = []
     lines: list[str] = []
     for row in load_pathloss_comparison():
-        out = [row.scenario, _num(row.distance_m), _num(row.emp_pcc_db), _num(row.emp_pdc_db)]
+        out = [row.scenario, row.distance_m, row.emp_pcc_db, row.emp_pdc_db]
         lines.append(f"{row.scenario} at {row.distance_m:.2f} m:")
         for kind, attr in _REPORT_MODEL_COLUMNS:
             published = getattr(row, attr)
             computed = models[kind].path_loss(row.distance_m) if kind in models else None
             if computed is None or published is None:
-                out += [_num(published), _num(computed), "", ""]
+                out += [published, computed, None, None]
                 if published is not None:
                     lines.append(f"  {kind}: published {published:.2f} dB, not computed "
                                  "(set --h-tx/--h-rx to compare)")
                 continue
             delta = computed - published
             ok = abs(delta) <= args.tolerance
-            out += [_num(published), _num(computed), _num(delta), "ok" if ok else "inconsistent"]
+            out += [published, computed, delta, "ok" if ok else "inconsistent"]
             lines.append(f"  {kind}: published {published:.2f} dB, computed {computed:.2f} dB, "
                          f"delta {delta:+.2f} dB{'' if ok else '  INCONSISTENT'}")
         rows.append(out)

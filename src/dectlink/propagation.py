@@ -379,7 +379,8 @@ def evaluate_sweep(
 ) -> list[tuple[float, float]]:
     """Evaluate a model over a distance grid; returns (distance_m, pl_db) pairs.
 
-    spacing is "linear" or "log"; endpoints are hit exactly. Losses come
+    spacing is "linear" or "log"; endpoints are hit exactly, and a grid
+    point that would overflow the float range is a ValueError. Losses come
     from the model's log-affine coefficients, so each agrees with
     model.path_loss(d) to rounding (well under 1e-9 dB).
     """
@@ -392,11 +393,20 @@ def evaluate_sweep(
     _require_choice("spacing", spacing, ("linear", "log"))
 
     last = points - 1
-    if spacing == "linear":
-        distances = [d_start_m + (d_end_m - d_start_m) * i / last for i in range(points)]
-    else:
-        lo, hi = math.log10(d_start_m), math.log10(d_end_m)
-        distances = [10.0 ** (lo + (hi - lo) * i / last) for i in range(points)]
-    distances[0], distances[-1] = d_start_m, d_end_m
+    try:
+        if spacing == "linear":
+            span = d_end_m - d_start_m
+            if math.isinf(span * (last - 1)):  # span * i is largest at i = last - 1
+                raise OverflowError
+            inner = [d_start_m + span * i / last for i in range(1, last)]
+        else:
+            lo, hi = math.log10(d_start_m), math.log10(d_end_m)
+            inner = [10.0 ** (lo + (hi - lo) * i / last) for i in range(1, last)]
+    except OverflowError:
+        raise ValueError(
+            f"a {spacing} sweep from {d_start_m!r} m to {d_end_m!r} m in {points} points "
+            "overflows the float range"
+        ) from None
+    distances = [d_start_m, *inner, d_end_m]
     a, b = model.intercept_db, model.slope_db_per_decade
     return [(d, a + b * math.log10(d)) for d in distances]

@@ -15,7 +15,6 @@ from dectlink.budget import (
     empirical_pl,
     is_reliable,
     max_link_distance,
-    noise_floor_dbm,
     predict_rx_power_dbm,
     predict_snr_db,
 )
@@ -33,19 +32,19 @@ FSPL_KM_MHZ_CONST = 32.44778322188338
 
 class TestNoiseFloor:
     def test_one_hertz_is_thermal_density(self):
-        assert noise_floor_dbm(LinkBudget(bandwidth_hz=1.0, noise_figure_db=0.0)) == -174.0
+        assert LinkBudget(bandwidth_hz=1.0, noise_figure_db=0.0).noise_floor_dbm == -174.0
 
     def test_campaign_bandwidth(self):
-        nf0 = noise_floor_dbm(LinkBudget(noise_figure_db=0.0))
+        nf0 = LinkBudget(noise_figure_db=0.0).noise_floor_dbm
         assert nf0 == pytest.approx(-111.62456261857125, abs=1e-9)
-        nf10 = noise_floor_dbm(LinkBudget(noise_figure_db=10.0))
+        nf10 = LinkBudget(noise_figure_db=10.0).noise_floor_dbm
         assert nf10 == pytest.approx(-101.62456261857125, abs=1e-9)
 
     def test_derived_once_and_kept_out_of_equality(self):
         budget = LinkBudget(side_correction_tx_db=2.5, side_correction_rx_db=-0.5,
                             bandwidth_hz=1e6, noise_figure_db=7.0)
         assert budget.total_correction_db == 2.0
-        assert budget.noise_floor_dbm == noise_floor_dbm(budget) == -174.0 + 60.0 + 7.0
+        assert budget.noise_floor_dbm == -174.0 + 60.0 + 7.0
         assert "noise_floor" not in repr(budget) and "total_correction" not in repr(budget)
         twin = LinkBudget(side_correction_tx_db=2.5, side_correction_rx_db=-0.5,
                           bandwidth_hz=1e6, noise_figure_db=7.0)
@@ -92,7 +91,7 @@ class TestPrediction:
         budget = LinkBudget(p_tx_dbm=19.0)
         rx = predict_rx_power_dbm(budget, FSPL_MODEL, 500.0)
         assert predict_snr_db(budget, FSPL_MODEL, 500.0) == pytest.approx(
-            rx - noise_floor_dbm(budget), abs=1e-12
+            rx - budget.noise_floor_dbm, abs=1e-12
         )
 
     def test_noise_figure_trades_one_for_one(self):

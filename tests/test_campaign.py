@@ -15,7 +15,6 @@ from dectlink.campaign import (
     load_capture,
     max_reliable_distance,
     mean_power_db,
-    read_capture_csv,
     read_capture_meta,
     sample_std_db,
     success_rate_pcc,
@@ -331,6 +330,14 @@ class TestMaxReliableDistance:
             max_reliable_distance([record], THRESHOLDS)
 
 
+def with_sidecar(csv_path):
+    """csv_path, given a valid sidecar for a hand-written capture of at most 10 rows."""
+    csv_path.with_suffix(".meta").write_text(
+        "location_id=hand\ndistance_m=40\nenvironment=los-indoor\np_tx_dbm=0\nrequest_count=10\n"
+    )
+    return csv_path
+
+
 class TestCaptureCsv:
     def test_round_trip(self, tmp_path):
         rows = synth_capture_rows(seed=4, n=50)
@@ -349,7 +356,7 @@ class TestCaptureCsv:
         p = tmp_path / "bad.csv"
         p.write_text("seq,rssi,snr\n0,-80,10\n")
         with pytest.raises(ValueError, match="header"):
-            read_capture_csv(p)
+            load_capture(with_sidecar(p))
 
     def test_error_messages_carry_line_numbers(self, tmp_path):
         header = "seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok\n"
@@ -365,7 +372,7 @@ class TestCaptureCsv:
             p = tmp_path / "case.csv"
             p.write_text(header + body)
             with pytest.raises(ValueError, match=fragment):
-                read_capture_csv(p)
+                load_capture(with_sidecar(p))
 
     def test_pdc_flag_with_empty_rssi_rejected(self, tmp_path):
         p = tmp_path / "pdc.csv"
@@ -373,7 +380,7 @@ class TestCaptureCsv:
             "seq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok\n0,-80,,10,1,1\n"
         )
         with pytest.raises(ValueError, match="pdc_crc_ok=1"):
-            read_capture_csv(p)
+            load_capture(with_sidecar(p))
 
     def test_comment_lines_skipped(self, tmp_path):
         p = tmp_path / "comments.csv"
@@ -381,7 +388,7 @@ class TestCaptureCsv:
             "# capture notes\nseq,pcc_rssi_dbm,pdc_rssi_dbm,snr_db,pcc_crc_ok,pdc_crc_ok\n"
             "0,-80,-80.5,10,1,1\n"
         )
-        assert len(read_capture_csv(p).seq) == 1
+        assert len(load_capture(with_sidecar(p)).columns.seq) == 1
 
     def test_comment_holding_a_comma_is_skipped(self, capture_factory):
         path = capture_factory("commas", n=20)
@@ -400,9 +407,9 @@ class TestCaptureCsv:
             "2,,-81,9,1,0\n"
         )
         with pytest.raises(ValueError, match="^line 6: pcc_crc_ok=1"):
-            read_capture_csv(p)
+            load_capture(with_sidecar(p))
         p.write_text(p.read_text().replace("2,,-81,9,1,0", "2,-82,-82,8,0,0"))
-        assert read_capture_csv(p).seq == (0, 1, 2)
+        assert load_capture(p).columns.seq == (0, 1, 2)
 
     def test_loaded_capture_equals_one_built_from_its_samples(self, capture_factory):
         loaded = load_capture(capture_factory("eq", seed=3, n=40))
@@ -417,7 +424,7 @@ class TestCaptureCsv:
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(ValueError, match="no header"):
-            read_capture_csv(p)
+            load_capture(with_sidecar(p))
 
 
 class TestSidecar:

@@ -1,8 +1,9 @@
 """Property tests: the log-affine model core over random valid models,
-each model against its free function and stated ranges, `model eval` and
-`plan` over extreme flag values, capture ingestion over random, oddly formatted
-capture files, config files over random valid configurations, and the
-two fit engines over random, often degenerate point sets."""
+each model against its free function and stated ranges, `model eval`,
+`model sweep`, `plan` and `report` over extreme flag values, the CLI's CSV
+cells over any float, capture ingestion over random, oddly formatted capture
+files, config files over random valid configurations, and the two fit
+engines over random, often degenerate point sets."""
 
 import dataclasses
 import io
@@ -23,7 +24,7 @@ from dectlink.budget import (
     max_link_distance,
 )
 from dectlink.campaign import CAPTURE_HEADER, load_capture, mean_power_db
-from dectlink.cli import _CONFIG_FLAGS, main
+from dectlink.cli import _CONFIG_FLAGS, _write_csv, main
 from dectlink.config import RunConfig, load_config
 from dectlink.fitting import fit_log_distance, fit_log_distance_iterative
 from dectlink.propagation import (
@@ -215,7 +216,7 @@ EVAL_FLAGS = {
 NON_FINITE = re.compile(r"(?<![\w.-])[-+]?(nan|inf)(?![\w-])", re.IGNORECASE)
 
 
-def exits_0_or_2_with_finite_numbers(argv: list[str]) -> None:
+def exits_0_or_2_with_finite_numbers(argv: list[str]) -> int:
     """Run the CLI in process: it exits 0 or 2, and after exit 0 prints no nan or inf number."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -223,6 +224,7 @@ def exits_0_or_2_with_finite_numbers(argv: list[str]) -> None:
     assert code in (0, 2), (argv, err.getvalue())
     if code == 0:
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    return code
 
 
 @settings(PROPERTY, max_examples=300)
@@ -276,6 +278,66 @@ def test_plan_exits_0_or_2_and_prints_only_finite_numbers(environment, models, c
     argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
              for flag, value in values.items()]
     exits_0_or_2_with_finite_numbers(argv)
+
+
+def flag_args(values: dict) -> list[str]:
+    """`--flag=value` for each drawn flag that is not None; floats as their repr."""
+    return [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+            for flag, value in values.items() if value is not None]
+
+
+# Sweep ends: an ordinary start lies below an ordinary end. With half the draws setting only
+# the heights, about 1 sweep in 10 exits 0.
+SWEEP_STARTS = st.one_of(EXTREME_VALUES, st.floats(1e-3, 1e3))
+SWEEP_ENDS = st.one_of(EXTREME_VALUES, st.floats(1e3, 1e7))
+
+
+def test_model_sweep_exits_0_or_2_and_prints_only_finite_numbers():
+    codes = []
+
+    @settings(PROPERTY, max_examples=300)
+    @given(MODEL_LISTS, SWEEP_STARTS, SWEEP_ENDS, st.integers(-1, 6),
+           st.sampled_from((None, "log", "linear")),
+           st.one_of(st.just({"--h-tx": 10.0, "--h-rx": 1.5}), plan_flags()))
+    # Grid points past the largest float: a linear sum that overflows, and a log grid whose
+    # powers of ten round above it.
+    @example("fspl", 1.0, 1e308, 4, "linear", {})
+    @example("fspl", 1.7976931348623155e308, 1.7976931348623157e308, 6, None, {})
+    def sweep(models, start, end, points, spacing, values):
+        argv = ["model", "sweep", f"--models={models}", f"--points={points}"]
+        argv += flag_args({"--start": start, "--end": end, "--spacing": spacing, **values})
+        codes.append(exits_0_or_2_with_finite_numbers(argv))
+
+    sweep()
+    assert codes.count(0) >= 10, f"{codes.count(0)} of {len(codes)} sweeps exited 0"
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.one_of(st.none(), EXTREME_VALUES, st.floats(0.0, 100.0)),
+       st.sampled_from((None, "table", "csv")), plan_flags())
+def test_report_exits_0_or_2_and_prints_only_finite_numbers(tolerance, fmt, values):
+    # plan_flags draws the heights: often a fixed pair, else ordinary or extreme values.
+    argv = ["report", *flag_args({"--tolerance": tolerance, "--format": fmt, **values})]
+    exits_0_or_2_with_finite_numbers(argv)
+
+
+CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, -5e-324, 1e-320, math.inf, -math.inf, math.nan, 1e16, 1e-5)),
+)
+
+
+@PROPERTY
+@given(st.integers(2, 6).flatmap(
+    lambda width: st.lists(st.lists(st.one_of(CSV_FLOATS, st.none()), min_size=width,
+                                    max_size=width), max_size=5)))
+def test_csv_cells_are_the_repr_of_each_float_and_empty_for_none(rows):
+    # The CLI hands csv.writer its floats and Nones as they are; these are the bytes it relies on.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _write_csv(None, ["a", "b"], rows)
+    expected = ["a,b", *(",".join("" if v is None else repr(v) for v in row) for row in rows)]
+    assert out.getvalue() == "\n".join(expected) + "\n"
 
 
 # ------------------------------------------------------------------ captures
