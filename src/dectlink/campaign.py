@@ -330,10 +330,10 @@ def load_capture(csv_path: str | Path) -> LocationCapture:
     SNR numbers, the two CRC flags, then the row rules (seq >= 0, seq
     unique, CRC against RSSI). The sidecar's values, request_count against
     the CRC-ok rows among them, are checked last. Errors in the CSV name
-    the file line (`line N:`). A file with one faulty row
-    gets the message a row-by-row scan would give; with faults in several
-    rows, the message names the first row failing the earliest check,
-    which need not be the first faulty row.
+    the file line (`line N:`). A file with one faulty row gets the message
+    a row-by-row scan would give; with faults in several rows, the message
+    names the first row failing the earliest check, which need not be the
+    first faulty row.
     """
     meta = read_capture_meta(os.path.splitext(csv_path)[0] + ".meta")
     numbers, cells = read_table(csv_path, CAPTURE_HEADER)
@@ -343,6 +343,8 @@ def load_capture(csv_path: str | Path) -> LocationCapture:
           for i in (1, 2, 3)),
         *(_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)),
     )
+    # Free the cell text before the checks allocate: held, it lifts a load's peak RSS.
+    del cells
     try:
         return LocationCapture(**meta, columns=columns)
     except ValueError:
