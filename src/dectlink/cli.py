@@ -95,7 +95,7 @@ def _output(out: str | None) -> Iterator[TextIO]:
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
-    """Write the header, then each row as the iterable yields it: floats as repr, None as ''."""
+    """Write the header, then each row as the iterable yields it."""
     with _output(out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
