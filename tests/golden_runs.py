@@ -75,6 +75,9 @@ RUNS = {
     "analyze_negative_frequency": ("analyze", "near.csv", "--f", "-5"),
     "analyze_zero_h_tx": ("analyze", "near.csv", "--h-tx", "0"),
     "analyze_absurd_rssi": ("analyze", "absurd.csv"),
+    # Finite corrections whose sum overflows.
+    "analyze_overflowing_corrections": (
+        "analyze", "near.csv", "--correction-tx", "1e308", "--correction-rx", "1e308"),
     "eval_two_ray_overflowing_heights": (
         "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e200", "--h-rx", "1e-200"),
     # Heights whose squares stay finite, but whose crossover distance overflows.
