@@ -40,7 +40,7 @@ class LinkBudget:
     Corrections fold antenna gain and cable loss into one signed dB term per
     side (gain minus loss); the default +1 dB per side models a small
     monopole with negligible feed loss. Construction derives their sum,
-    total_correction_db, and the receiver noise floor,
+    total_correction_db, which must not overflow, and the receiver noise floor,
     -174 + 10 log10(BW) + NF in dBm, once.
     """
 
@@ -58,9 +58,9 @@ class LinkBudget:
             "p_tx_dbm", "side_correction_tx_db", "side_correction_rx_db", "noise_figure_db"
         ):
             _require_finite(name, getattr(self, name))
-        object.__setattr__(
-            self, "total_correction_db", self.side_correction_tx_db + self.side_correction_rx_db
-        )
+        total = self.side_correction_tx_db + self.side_correction_rx_db
+        _require_finite("side_correction_tx_db + side_correction_rx_db", total)
+        object.__setattr__(self, "total_correction_db", total)
         object.__setattr__(
             self, "noise_floor_dbm",
             THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db,
@@ -109,7 +109,8 @@ def empirical_pl(p_tx_dbm: float, p_rx_dbm: float, budget: LinkBudget) -> float:
     """Measured path loss from TX and RX powers plus both side corrections."""
     _require_finite("p_tx_dbm", p_tx_dbm)
     _require_finite("p_rx_dbm", p_rx_dbm)
-    return p_tx_dbm - p_rx_dbm + budget.total_correction_db
+    pl = p_tx_dbm - p_rx_dbm + budget.total_correction_db
+    return _require_finite("p_tx_dbm - p_rx_dbm + total_correction_db", pl)
 
 
 def predict_rx_power_dbm(budget: LinkBudget, model: PathLossModel, d_m: float) -> float:

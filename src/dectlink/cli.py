@@ -76,10 +76,6 @@ def _fmt2(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
-class _StdoutClosed(Exception):
-    """The reader of stdout went away, as in `dectlink model sweep ... | head -n 1`."""
-
-
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
     """Yield stdout, or the --out file, closed on exit; open it only after every check has run."""
@@ -87,11 +83,9 @@ def _output(out: str | None) -> Iterator[TextIO]:
         with open(out, "w", encoding="utf-8", newline="") as stream:
             yield stream
         return
-    try:
-        yield sys.stdout
-        sys.stdout.flush()
-    except BrokenPipeError:
-        raise _StdoutClosed from None
+    yield sys.stdout
+    # A reader that went away fails here, inside main's handlers, not at interpreter exit.
+    sys.stdout.flush()
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
@@ -141,7 +135,7 @@ def cmd_model_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     model = cfg.model(args.model)
     lines = [f"{model.path_loss(args.d):.2f} dB"]
-    _write_lines(None, lines + [f"flag {flag.code}: {flag.detail}" for flag in model.flags(args.d)])
+    _write_lines(None, lines + [f"flag {flag}" for flag in model.flags(args.d)])
     return 0
 
 
@@ -423,14 +417,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         return args.handler(args)
-    except _StdoutClosed:
-        # A closed pipe is not an error: as the docs of Python's signal module show, point
-        # stdout at devnull so that the flush at exit does not fail again, and stop quietly.
+    except BrokenPipeError:
+        # A reader that went away, from stdout or an --out pipe, is not an error: as the docs of
+        # Python's signal module show, point stdout at devnull so that the flush at exit does not
+        # fail again, and stop quietly.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ValueError, OSError, ThresholdUnreachable) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

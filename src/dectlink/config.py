@@ -88,9 +88,6 @@ class RunConfig:
         """Antenna geometry, or None when either height is unset."""
         return self._geometry
 
-    def hata_environment(self) -> HataEnvironment:
-        return self._environment
-
     def model(self, kind: str) -> PathLossModel:
         """Build a PathLossModel of the given kind from this configuration's components.
 

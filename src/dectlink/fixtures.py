@@ -63,7 +63,8 @@ class PathLossComparisonRow:
     cost231_db: float | None
 
 
-_LOCATION_HEADER = ("site", "propagation", "surroundings", "distance_m", "p_tx_dbm")
+# The files carry every field but the setting, which each loader supplies.
+_LOCATION_HEADER = tuple(f.name for f in fields(ReferenceLocation) if f.name != "setting")
 
 
 def _locations(name: str, setting: str) -> tuple[ReferenceLocation, ...]:

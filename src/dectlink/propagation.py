@@ -65,10 +65,6 @@ class Frequency:
     def mhz(self) -> float:
         return self.hz / 1e6
 
-    @property
-    def ghz(self) -> float:
-        return self.hz / 1e9
-
 
 @dataclass(frozen=True)
 class AntennaGeometry:

@@ -57,6 +57,13 @@ class TestNoiseFloor:
         with pytest.raises(ValueError):
             LinkBudget(bandwidth_hz=-5.0)
 
+    def test_rejects_corrections_whose_sum_overflows(self):
+        with pytest.raises(ValueError, match=r"^side_correction_tx_db \+ side_correction_rx_db "
+                                             r"must be finite, got inf$"):
+            LinkBudget(side_correction_tx_db=1e308, side_correction_rx_db=1e308)
+        assert LinkBudget(side_correction_tx_db=1e308,
+                          side_correction_rx_db=-1e308).total_correction_db == 0.0
+
 
 class TestEmpiricalPl:
     def test_campaign_style_inputs(self):
@@ -71,6 +78,15 @@ class TestEmpiricalPl:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             empirical_pl(float("nan"), -80.0, LinkBudget())
+
+    def test_rejects_a_result_that_overflows(self):
+        # Each term is finite, and so is the budget's total correction.
+        budget = LinkBudget(side_correction_tx_db=1e308, side_correction_rx_db=0.0)
+        with pytest.raises(ValueError, match=r"^p_tx_dbm - p_rx_dbm \+ total_correction_db "
+                                             r"must be finite, got inf$"):
+            empirical_pl(1.7e308, -80.0, budget)
+        with pytest.raises(ValueError, match="must be finite, got -inf"):
+            empirical_pl(-1.7e308, 1.7e308, LinkBudget())
 
 
 class TestPrediction:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -181,6 +182,33 @@ class TestModelSweep:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
         assert err == b""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_pipe_reader_going_away_ends_the_run_quietly(self, tmp_path):
+        """An --out pipe whose reader leaves after one line ends the run as a closed stdout does."""
+        fifo = tmp_path / "sweep.csv"
+        os.mkfifo(fifo)
+        # Opened without waiting for a writer; select then waits for the sweep's first bytes.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(dectlink.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-X", "dev", "-m", "dectlink.cli", "model", "sweep",
+                "--models", "fspl", "--start", "1", "--end", "1000", "--points", "100000",
+                "--out", str(fifo)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            try:
+                read = b""
+                while b"\n" not in read:
+                    assert select.select([reader], [], [], 60)[0], "no line within 60 s"
+                    chunk = os.read(reader, 64)
+                    assert chunk, read
+                    read += chunk
+            finally:
+                os.close(reader)
+            out, err = proc.communicate(timeout=60)
+        assert read.startswith(b"distance_m,fspl_db\n")
+        assert (proc.returncode, out, err) == (0, b"", b"")
 
 
 class TestAnalyze:

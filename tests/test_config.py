@@ -154,7 +154,7 @@ class TestHelpers:
         first, second = cfg.model("okumura-hata"), cfg.model("cost231-hata")
         assert first.frequency is second.frequency is cfg.model("fspl").frequency
         assert first.geometry is second.geometry is cfg.geometry()
-        assert first.environment is second.environment is cfg.hata_environment()
+        assert first.environment is second.environment is cfg._environment
         assert cfg.model("fspl").environment is None
 
     def test_env_var_name_is_stable(self):
