@@ -1,10 +1,10 @@
 """Property tests: the log-affine model core over random valid models,
-each model against its free function and stated ranges, `model eval`,
-`model sweep`, `plan`, `report`, `analyze` and `fit` over extreme flag
-values and input files, the CLI's CSV
-cells over any float, capture ingestion over random, oddly formatted capture
-files, config files over random valid configurations, and the two fit
-engines over random, often degenerate point sets."""
+each model against its free function and stated ranges, every CLI
+subcommand (`model eval`, `model sweep`, `plan`, `report`, `analyze` and
+`fit`) over extreme flag values and input files, the CLI's CSV cells over
+any float, capture ingestion over random, oddly formatted capture files,
+config files over random valid configurations, and the two fit engines over
+random, often degenerate point sets."""
 
 import dataclasses
 import io
