@@ -78,6 +78,9 @@ RUNS = {
     # Finite corrections whose sum overflows.
     "analyze_overflowing_corrections": (
         "analyze", "near.csv", "--correction-tx", "1e308", "--correction-rx", "1e308"),
+    # Finite TX power and corrections whose budget overflows.
+    "plan_overflowing_budget": (
+        "plan", "--environment", "outdoor", "--tx-power", "1e308", "--correction-tx", "1e308"),
     "eval_two_ray_overflowing_heights": (
         "model", "eval", "--model", "two-ray", "--d", "100", "--h-tx", "1e200", "--h-rx", "1e-200"),
     # Heights whose squares stay finite, but whose crossover distance overflows.
