@@ -164,15 +164,19 @@ def allowed_path_loss_db(
     """Largest tolerable path loss before the given criterion's floor is hit.
 
     criterion "rssi" budgets against the environment's RSSI floor, "snr"
-    against the SNR floor sitting on top of the receiver noise floor.
+    against the SNR floor sitting on top of the receiver noise floor. Raises
+    ValueError, naming the terms, when the result overflows.
     """
     if criterion == "rssi":
         floor = thresholds.rssi_floor_dbm(environment)
+        terms = f"rssi_floor_{environment}_dbm"
     elif criterion == "snr":
         floor = budget.noise_floor_dbm + thresholds.snr_floor_db(environment)
+        terms = f"(noise_floor_dbm + snr_floor_{environment}_db)"
     else:
         raise ValueError(f"criterion must be 'rssi' or 'snr', got {criterion!r}")
-    return budget.p_tx_dbm + budget.total_correction_db - floor
+    allowed = budget.p_tx_dbm + budget.total_correction_db - floor
+    return _require_finite(f"p_tx_dbm + total_correction_db - {terms}", allowed)
 
 
 def max_link_distance(

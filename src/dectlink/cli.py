@@ -9,6 +9,12 @@ Each subcommand imports only the modules it uses. Every one loads `config`,
 `budget`, `propagation` and `tabular`; `analyze` adds `campaign`, `fit`
 adds `fitting` and `report` adds `fixtures`, each inside its handler.
 
+Each `cmd_*` handler computes its answer and returns it: the CSV header and
+rows, and the table lines, with None where the subcommand has no such form.
+`main` alone writes: CSV when `--format csv` is given or the subcommand has
+no table (`model sweep`), else the lines, to stdout or to `--out`, which is
+opened only after the handler has returned. A run that fails leaves no file.
+
 Human-readable output rounds dB and meters to two decimals; CSV output
 carries full precision so downstream plotting loses nothing: `csv.writer`
 writes each float as its repr and None as an empty cell. CSV bytes are
@@ -44,6 +50,9 @@ if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator, Sequence
     from typing import TextIO
 
+    # The CSV header, the CSV rows and the table lines; None where a subcommand has no such form.
+    Answer = tuple[Sequence[str] | None, Iterable[Iterable[object]] | None, Iterable[str] | None]
+
 # One flag per RunConfig field, in --help order: (flag, metavar or choices, help).
 _CONFIG_FLAGS = {
     "frequency_hz": ("--f", "HZ", "carrier frequency in Hz (e.g. 1.899e9)"),
@@ -78,13 +87,13 @@ def _fmt2(value: float | None) -> str:
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """Yield stdout, or the --out file, closed on exit; open it only after every check has run."""
+    """Yield stdout, or the --out file, closed on exit; main calls it after the handler returns."""
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as stream:
             yield stream
         return
     yield sys.stdout
-    # A reader that went away fails here, inside main's handlers, not at interpreter exit.
+    # A reader that went away fails here, inside main's try, not at interpreter exit.
     sys.stdout.flush()
 
 
@@ -131,15 +140,13 @@ def _parse_model_list(arg: str) -> tuple[str, ...]:
     return kinds
 
 
-def cmd_model_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    model = cfg.model(args.model)
-    lines = [f"{model.path_loss(args.d):.2f} dB"]
-    _write_lines(None, lines + [f"flag {flag}" for flag in model.flags(args.d)])
-    return 0
+def cmd_model_eval(args: argparse.Namespace) -> Answer:
+    model = _resolve_config(args).model(args.model)
+    return None, None, [f"{model.path_loss(args.d):.2f} dB",
+                        *(f"flag {flag}" for flag in model.flags(args.d))]
 
 
-def cmd_model_sweep(args: argparse.Namespace) -> int:
+def cmd_model_sweep(args: argparse.Namespace) -> Answer:
     cfg = _resolve_config(args)
     kinds = _parse_model_list(args.models)
     models = [cfg.model(kind) for kind in kinds]
@@ -152,12 +159,10 @@ def cmd_model_sweep(args: argparse.Namespace) -> int:
             columns.append(array("d", (d for d, _ in pairs)))
         columns.append(array("d", (pl for _, pl in pairs)))
         del pairs
-    header = ["distance_m"] + [f"{kind}_db" for kind in kinds]
-    _write_csv(args.out, header, zip(*columns))
-    return 0
+    return ["distance_m"] + [f"{kind}_db" for kind in kinds], zip(*columns), None
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> Answer:
     from .campaign import CampaignRecord, load_capture, max_reliable_distance, summarize
 
     cfg = _resolve_config(args)
@@ -170,20 +175,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     records.sort(key=lambda r: (r.distance_m, r.location_id))
+    rows = ({**vars(r), "reliable": int(r.reliable)}.values() for r in records)
 
-    if args.format == "csv":
-        columns = tuple(f.name for f in fields(CampaignRecord))
-        rows = ({**vars(r), "reliable": int(r.reliable)}.values() for r in records)
-        _write_csv(args.out, columns, rows)
-        return 0
-
-    lines = []
     head = (
         f"{'location':<28} {'d (m)':>9} {'SR pcc':>7} {'SR pdc':>7} "
         f"{'RSSI (dBm)':>11} {'std':>6} {'PL (dB)':>8} {'ok':>3}"
     )
-    lines.append(head)
-    lines.append("-" * len(head))
+    lines = [head, "-" * len(head)]
     for r in records:
         lines.append(
             f"{r.location_id:<28} {r.distance_m:>9.2f} {r.sr_pcc_pct:>7.2f} "
@@ -198,8 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     except ValueError:
         lines.append("max reliable distance: none (no location clears the threshold)")
-    _write_lines(args.out, lines)
-    return 0
+    return tuple(f.name for f in fields(CampaignRecord)), rows, lines
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float]]:
@@ -210,7 +207,7 @@ def _read_points_csv(path: str) -> list[tuple[float, float]]:
     )
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> Answer:
     from .fitting import fit_log_distance, fit_log_distance_iterative
 
     points = _read_points_csv(args.input)
@@ -219,7 +216,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         result = fit_log_distance_iterative(points, d0_m=args.d0)
     pl0, exponent = result.params
-    _write_lines(None, (
+    return None, None, (
         f"pl0_db: {pl0:.2f}",
         f"exponent: {exponent:.4f}",
         f"rmse_db: {result.rmse_db:.2f}",
@@ -227,11 +224,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"engine: {args.engine}",
         f"iterations: {result.iterations}",
         f"converged: {'yes' if result.converged else 'no'}",
-    ))
-    return 0
+    )
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> Answer:
     cfg = _resolve_config(args)
     budget = cfg.budget()
     thresholds = cfg.thresholds()
@@ -242,10 +238,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
         criterion: allowed_path_loss_db(budget, thresholds, args.environment, criterion)
         for criterion in criteria
     }
-    # One (criterion, allowed_db, reach_m or None if unreachable, binds) record per criterion.
-    # Of two criteria, the one with the shortest reach binds, unreachable counting as 0 m and
-    # ties going to the first; a capped reach never binds, nor does any if none is reachable.
-    plans: dict[str, list[tuple[str, float, float | None, bool]]] = {}
+    rows: list[list[object]] = []
+    lines = [
+        f"environment: {args.environment}   tx power: {budget.p_tx_dbm:.2f} dBm   "
+        f"corrections: {budget.total_correction_db:+.2f} dB   "
+        f"noise floor: {budget.noise_floor_dbm:.2f} dBm"
+    ]
     for kind in kinds:
         model = cfg.model(kind)
         reaches: dict[str, float | None] = {}
@@ -254,45 +252,29 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 reaches[criterion] = distance_for_path_loss(model, allowed)
             except ThresholdUnreachable:
                 reaches[criterion] = None
+        # Of two criteria, the one with the shortest reach binds, unreachable counting as 0 m and
+        # ties going to the first; a capped reach never binds, nor does any if none is reachable.
         ranked = {c: d or 0.0 for c, d in reaches.items() if d is None or d < SOLVE_CAP_M}
         binding = None
         if len(criteria) > 1 and ranked and any(d is not None for d in reaches.values()):
             binding = min(ranked, key=ranked.get)
-        plans[kind] = [(c, allowed_by_criterion[c], d, c == binding) for c, d in reaches.items()]
-
-    if args.format == "csv":
-        csv_rows = [
-            [kind, criterion, allowed,
-             "unreachable" if reach is None else "capped" if reach >= SOLVE_CAP_M else reach,
-             int(binds)]
-            for kind, records in plans.items()
-            for criterion, allowed, reach, binds in records
-        ]
-        header = ["model", "criterion", "allowed_pl_db", "max_distance_m", "binding"]
-        _write_csv(args.out, header, csv_rows)
-        return 0
-
-    lines = [
-        f"environment: {args.environment}   tx power: {budget.p_tx_dbm:.2f} dBm   "
-        f"corrections: {budget.total_correction_db:+.2f} dB   "
-        f"noise floor: {budget.noise_floor_dbm:.2f} dBm"
-    ]
-    for kind, records in plans.items():
         lines.append(f"model {kind}:")
-        for criterion, allowed, reach, binds in records:
+        for criterion, reach in reaches.items():
+            allowed = allowed_by_criterion[criterion]
             if reach is None:
+                cell = "unreachable"
                 text = "unreachable (loss already above budget at minimum range)"
             elif reach >= SOLVE_CAP_M:
-                text = f"capped (beyond the solver's {SOLVE_CAP_M:.0f} m limit)"
+                cell, text = "capped", f"capped (beyond the solver's {SOLVE_CAP_M:.0f} m limit)"
             else:
-                text = f"{reach:.2f} m"
-            mark = "  (binding)" if binds else ""
+                cell, text = reach, f"{reach:.2f} m"
+            rows.append([kind, criterion, allowed, cell, int(criterion == binding)])
+            mark = "  (binding)" if criterion == binding else ""
             lines.append(f"  {criterion}: allowed PL {allowed:.2f} dB -> {text}{mark}")
-    _write_lines(args.out, lines)
-    return 0
+    return ["model", "criterion", "allowed_pl_db", "max_distance_m", "binding"], rows, lines
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> Answer:
     from .fixtures import load_pathloss_comparison
 
     # No delta meets a negative or NaN tolerance, and every delta meets an infinite one.
@@ -330,12 +312,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             lines.append(f"  {kind}: published {published:.2f} dB, computed {computed:.2f} dB, "
                          f"delta {delta:+.2f} dB{'' if ok else '  INCONSISTENT'}")
         rows.append(out)
-
-    if args.format == "csv":
-        _write_csv(args.out, header, rows)
-    else:
-        _write_lines(args.out, lines)
-    return 0
+    return header, rows, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +393,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
-        return args.handler(args)
+        header, rows, lines = args.handler(args)
+        # The subcommand's only form, or the one --format picks; model eval and fit have no --out.
+        out = getattr(args, "out", None)
+        if lines is None or getattr(args, "format", None) == "csv":
+            _write_csv(out, header, rows)
+        else:
+            _write_lines(out, lines)
+        return 0
     except BrokenPipeError:
         # A reader that went away, from stdout or an --out pipe, is not an error: as the docs of
         # Python's signal module show, point stdout at devnull so that the flush at exit does not

@@ -125,12 +125,17 @@ def _section(title: str, data: bytes) -> bytes:
     return f"--- {title}\n".encode() + data
 
 
-def transcript(name: str, workdir: Path) -> bytes:
-    """Run RUNS[name] in workdir (already prepared) and render what it did."""
+def transcript(name: str, workdir: Path, src: Path | None = SRC) -> bytes:
+    """Run RUNS[name] in workdir (already prepared) and render what it did.
+
+    The run imports dectlink from src; with src None, from wherever the
+    inherited environment finds it, such as an installed package.
+    """
     argv = RUNS[name]
     env = {k: v for k, v in os.environ.items()
            if k not in ("DECTLINK_CONFIG", "PYTHONWARNINGS", "PYTHONDEVMODE")}
-    env["PYTHONPATH"] = str(SRC)
+    if src is not None:
+        env["PYTHONPATH"] = str(src)
     proc = subprocess.run([sys.executable, "-m", "dectlink.cli", *argv], cwd=workdir, env=env,
                           capture_output=True, timeout=60)
     parts = [f"$ dectlink {shlex.join(argv)}\nexit {proc.returncode}\n".encode(),

@@ -234,6 +234,28 @@ class TestDistanceSolver:
         with pytest.raises(ValueError):
             allowed_path_loss_db(LinkBudget(), THRESHOLDS, "space", "rssi")
 
+    def test_rejects_a_budget_whose_tx_side_overflows(self):
+        # TX power and corrections are each finite, and so is their sum over both sides.
+        budget = LinkBudget(p_tx_dbm=1e308, side_correction_tx_db=1e308)
+        for criterion, floor in (("rssi", "rssi_floor_outdoor_dbm"),
+                                 ("snr", "(noise_floor_dbm + snr_floor_outdoor_db)")):
+            with pytest.raises(ValueError) as info:
+                allowed_path_loss_db(budget, THRESHOLDS, "outdoor", criterion)
+            assert str(info.value) == (
+                f"p_tx_dbm + total_correction_db - {floor} must be finite, got inf")
+
+    def test_rejects_a_budget_whose_floor_side_overflows(self):
+        budget = LinkBudget(p_tx_dbm=1e308)
+        low_floors = ReliabilityThresholds(rssi_floor_indoor_dbm=-1e308)
+        with pytest.raises(ValueError) as info:
+            max_link_distance(budget, FSPL_MODEL, low_floors, "indoor", "rssi")
+        assert str(info.value) == (
+            "p_tx_dbm + total_correction_db - rssi_floor_indoor_dbm must be finite, got inf")
+        # An SNR floor that overflows the noise floor leaves no finite budget either.
+        high_floors = ReliabilityThresholds(snr_floor_indoor_db=1e308)
+        with pytest.raises(ValueError, match=r"snr_floor_indoor_db\) must be finite, got -inf$"):
+            allowed_path_loss_db(LinkBudget(noise_figure_db=1e308), high_floors, "indoor", "snr")
+
     def test_fspl_and_two_ray_intersect_once(self):
         """Both models solved at the intersection PL land on the same distance."""
         geo = AntennaGeometry(10.0, 1.5)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dectlink
-from dectlink.cli import _CONFIG_FLAGS, main
+from dectlink.cli import _CONFIG_FLAGS, build_parser, main
 from dectlink.config import CONFIG_ENV_VAR, RunConfig
 
 import golden_runs
@@ -145,12 +145,22 @@ class TestModelSweep:
         assert dest.read_text().startswith("distance_m,fspl_db\n")
 
     @pytest.mark.parametrize("argv,out", [
-        (("--start", "10", "--end", "10"), "s.csv"),
-        (("--start", "1", "--end", "10"), "missing/s.csv"),
+        (("model", "sweep", "--models", "fspl", "--start", "10", "--end", "10", "--points", "4"),
+         "s.csv"),
+        (("model", "sweep", "--models", "fspl", "--start", "1", "--end", "10", "--points", "4"),
+         "missing/s.csv"),
+        # Domain errors raised while each handler computes, after its config has loaded.
+        (("analyze", "absurd.csv", "--format", "csv"), "a.csv"),
+        (("plan", "--environment", "outdoor", "--tx-power", "1e308", "--correction-tx", "1e308"),
+         "p.txt"),
+        (("report", *HEIGHTS, "--format", "csv", "--f", "5e-324"), "r.csv"),
     ])
-    def test_failed_sweep_leaves_no_out_file(self, capsys, tmp_path, argv, out):
-        code, stdout, err = run_cli(capsys, "model", "sweep", "--models", "fspl", *argv,
-                                    "--points", "4", "--out", str(tmp_path / out))
+    def test_failed_sweep_leaves_no_out_file(self, capsys, tmp_path, tmp_path_factory,
+                                             monkeypatch, argv, out):
+        inputs = tmp_path_factory.mktemp("inputs")
+        golden_runs.prepare(inputs)
+        monkeypatch.chdir(inputs)
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / out))
         assert code == 2 and stdout == "" and err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
@@ -543,6 +553,30 @@ class TestReport:
         assert code == 0
         assert "INCONSISTENT" in out
         assert "Hallila Power Line" in out
+
+
+@pytest.mark.parametrize("argv, forms", [
+    (("model", "eval", "--model", "okumura-hata", "--d", "500", *HEIGHTS), "lines"),
+    (("model", "sweep", "--models", "all", "--start", "1", "--end", "1000", "--points", "7",
+      *HEIGHTS, "--out", "out.csv"), "csv"),
+    (("analyze", "near.csv", "far.csv", "--format", "csv", "--out", "out.csv"), "both"),
+    (("fit", "--input", "noisy.csv", "--engine", "iterative"), "lines"),
+    (("plan", "--environment", "indoor", "--models", "all", *HEIGHTS, "--out", "out.txt"), "both"),
+    (("report", *HEIGHTS, "--format", "csv", "--out", "out.csv"), "both"),
+], ids=("model-eval", "model-sweep", "analyze", "fit", "plan", "report"))
+def test_handlers_return_their_answer_and_write_nothing(capsys, tmp_path, monkeypatch, argv,
+                                                         forms):
+    """Only main writes: a handler run alone prints nothing and opens no --out file."""
+    golden_runs.prepare(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
+    args = build_parser().parse_args(argv)
+    header, rows, lines = args.handler(args)
+    assert (header is not None, lines is not None) == (forms != "lines", forms != "csv")
+    # Rows and lines may be lazy; drawing them writes nothing either.
+    drawn = [list(row) for row in rows or ()] + list(lines or ())
+    assert drawn and capsys.readouterr().out == ""
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 def test_config_flags_are_one_per_runconfig_field_in_order():
