@@ -169,14 +169,17 @@ def allowed_path_loss_db(
     """
     if criterion == "rssi":
         floor = thresholds.rssi_floor_dbm(environment)
-        terms = f"rssi_floor_{environment}_dbm"
     elif criterion == "snr":
         floor = budget.noise_floor_dbm + thresholds.snr_floor_db(environment)
-        terms = f"(noise_floor_dbm + snr_floor_{environment}_db)"
     else:
         raise ValueError(f"criterion must be 'rssi' or 'snr', got {criterion!r}")
     allowed = budget.p_tx_dbm + budget.total_correction_db - floor
-    return _require_finite(f"p_tx_dbm + total_correction_db - {terms}", allowed)
+    if math.isfinite(allowed):
+        return allowed
+    # The message is built only on failure: planning calls this once per reach.
+    terms = (f"rssi_floor_{environment}_dbm" if criterion == "rssi"
+             else f"(noise_floor_dbm + snr_floor_{environment}_db)")
+    raise ValueError(f"p_tx_dbm + total_correction_db - {terms} must be finite, got {allowed!r}")
 
 
 def max_link_distance(
