@@ -93,6 +93,10 @@ RUNS = {
     "eval_okumura_hata_subnormal_frequency": (
         "model", "eval", "--model", "okumura-hata", "--d", "1000", "--h-tx", "30", "--h-rx", "1.5",
         "--f", "5e-324"),
+    # A mast so tall that the Hata slope 44.9 - 6.55 log10(h_b) drops below 0.
+    "eval_cost231_hata_negative_slope": (
+        "model", "eval", "--model", "cost231-hata", "--d", "1000", "--h-tx", "1.234e7",
+        "--h-rx", "1.5"),
     "fit_overflowing_losses": ("fit", "--input", "big.csv"),
     "fit_one_log_distance_closed_form": ("fit", "--input", "close.csv"),
     "fit_one_log_distance_iterative": ("fit", "--input", "close.csv", "--engine", "iterative"),
