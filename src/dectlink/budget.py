@@ -130,9 +130,6 @@ _SOLVE_D_MIN_M = 0.1
 SOLVE_CAP_M = 1.0e6
 _SOLVE_LOG_D_MIN = math.log10(_SOLVE_D_MIN_M)  # exactly -1.0
 _SOLVE_LOG_D_MAX = math.log10(SOLVE_CAP_M)  # exactly 6.0
-# The log-affine coefficients reproduce the free functions only to rounding,
-# so a target this little below PL(0.1 m) still reaches 0.1 m.
-_SOLVE_ROUNDING_DB = 1.0e-9
 
 
 def distance_for_path_loss(model: PathLossModel, target_pl_db: float) -> float:
@@ -140,13 +137,14 @@ def distance_for_path_loss(model: PathLossModel, target_pl_db: float) -> float:
 
     Every model is PL(d) = a + b log10(d) with slope b > 0, so this is the
     unique crossing point d = 10**((target - a) / b), in closed form.
-    Raises ThresholdUnreachable when the loss at 0.1 m (a - b) already
-    exceeds the target; answers beyond 1e6 m are capped at exactly 1e6 m.
+    Raises ThresholdUnreachable exactly when the loss at 0.1 m,
+    a - b == model.path_loss(0.1), exceeds the target; answers beyond 1e6 m
+    are capped at exactly 1e6 m.
     """
     target_pl_db = _require_finite("target_pl_db", target_pl_db)
     a, b = model.intercept_db, model.slope_db_per_decade
-    pl_min = a + b * _SOLVE_LOG_D_MIN  # a - b
-    if pl_min - _SOLVE_ROUNDING_DB > target_pl_db:
+    pl_min = a + b * _SOLVE_LOG_D_MIN  # a - b, bit for bit path_loss(0.1)
+    if pl_min > target_pl_db:
         raise ThresholdUnreachable(
             f"path loss at {_SOLVE_D_MIN_M} m already {pl_min:.2f} dB, "
             f"above the allowed {target_pl_db:.2f} dB"

@@ -127,16 +127,12 @@ class ValidityFlag:
         return f"{self.code}: {self.detail}"
 
 
-# Distance-free terms (p, s, div, q1, q2) of one model: its loss at d m is
-# ((p + s log10(d / div)) + q1) + q2, summed in that order so that every model
-# rounds as its textbook formula does. div is 1e3 (d in km) only for Hata.
-_Terms = tuple[float, float, float, float, float]
-
-
-def _log_affine(d_m: float, terms: _Terms) -> float:
-    """Path loss in dB at d_m (a checked distance) from a model's terms."""
-    p, s, div, q1, q2 = terms
-    return p + s * math.log10(d_m / div) + q1 + q2
+# The law (a, b) of one model: its loss at d m is a + b log10(d), with a the loss
+# at 1 m and b the dB per decade. Each model's builder below returns it.
+def _loss_at(d_m: float, law: tuple[float, float]) -> float:
+    """Path loss in dB at d_m (a checked distance) on a model's law."""
+    a, b = law
+    return a + b * math.log10(d_m)
 
 
 def _frequency_in(f_hz: float, unit_hz: float, unit: str) -> float:
@@ -147,49 +143,55 @@ def _frequency_in(f_hz: float, unit_hz: float, unit: str) -> float:
     return value
 
 
-def _fspl_terms(f_hz: float) -> _Terms:
+def _fspl_law(f_hz: float) -> tuple[float, float]:
     f_term = 20.0 * math.log10(_require_positive("frequency", f_hz))
-    return 0.0, 20.0, 1.0, f_term, 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
+    return f_term + 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT), 20.0
 
 
-def _inh_los_terms(f_hz: float) -> _Terms:
-    return 32.4, 17.3, 1.0, 20.0 * math.log10(_frequency_in(f_hz, 1e9, "GHz")), 0.0
+def _inh_los_law(f_hz: float) -> tuple[float, float]:
+    return 32.4 + 20.0 * math.log10(_frequency_in(f_hz, 1e9, "GHz")), 17.3
 
 
-def _inf_los_terms(f_hz: float) -> _Terms:
-    return 31.84, 21.50, 1.0, 19.0 * math.log10(_frequency_in(f_hz, 1e9, "GHz")), 0.0
+def _inf_los_law(f_hz: float) -> tuple[float, float]:
+    return 31.84 + 19.0 * math.log10(_frequency_in(f_hz, 1e9, "GHz")), 21.5
 
 
-def _two_ray_terms(geometry: AntennaGeometry) -> _Terms:
+def _two_ray_law(geometry: AntennaGeometry) -> tuple[float, float]:
     g = geometry
     try:
         heights = g.combined_gain * g.h_tx_m**2 * g.h_rx_m**2
     except OverflowError:  # float ** raises where float * would give inf
         heights = math.inf
     heights = _require_positive("combined_gain * h_tx_m**2 * h_rx_m**2", heights)
-    return 0.0, 40.0, 1.0, -10.0 * math.log10(heights), 0.0
+    return -10.0 * math.log10(heights), 40.0
 
 
-def _hata_terms(
+def _hata_law(
     f_hz: float, geometry: AntennaGeometry, environment: HataEnvironment,
     base_db: float, freq_db_per_decade: float, area_db: float,
-) -> _Terms:
-    """The Hata-family terms shared by okumura_hata and cost231_hata."""
+) -> tuple[float, float]:
+    """The Hata-family law shared by okumura_hata and cost231_hata.
+
+    The textbook distance term b log10(d_km) is b log10(d) - 3 b, so -3 b
+    joins the intercept.
+    """
     f_mhz = _frequency_in(f_hz, 1e6, "MHz")
     h_b = geometry.h_tx_m
     c_h = environment.mobile_height_correction_db(f_mhz, geometry.h_rx_m)
-    p = base_db + freq_db_per_decade * math.log10(f_mhz) - 13.82 * math.log10(h_b) - c_h
-    return p, 44.9 - 6.55 * math.log10(h_b), 1e3, area_db, 0.0
+    slope = 44.9 - 6.55 * math.log10(h_b)
+    intercept = (base_db + freq_db_per_decade * math.log10(f_mhz) - 13.82 * math.log10(h_b)
+                 - c_h + area_db - 3.0 * slope)
+    return intercept, slope
 
 
-def _okumura_hata_terms(f_hz: float, geometry: AntennaGeometry,
-                        environment: HataEnvironment) -> _Terms:
-    return _hata_terms(f_hz, geometry, environment, 69.55, 26.16, 0.0)
+def _okumura_hata_law(f_hz: float, geometry: AntennaGeometry,
+                      environment: HataEnvironment) -> tuple[float, float]:
+    return _hata_law(f_hz, geometry, environment, 69.55, 26.16, 0.0)
 
 
-def _cost231_hata_terms(f_hz: float, geometry: AntennaGeometry,
-                        environment: HataEnvironment) -> _Terms:
-    return _hata_terms(f_hz, geometry, environment, 46.3, 33.9, environment.area_correction_db)
+def _cost231_hata_law(f_hz: float, geometry: AntennaGeometry,
+                      environment: HataEnvironment) -> tuple[float, float]:
+    return _hata_law(f_hz, geometry, environment, 46.3, 33.9, environment.area_correction_db)
 
 
 def fspl(d_m: float, f_hz: float) -> float:
@@ -197,17 +199,17 @@ def fspl(d_m: float, f_hz: float) -> float:
 
     20 log10(d) + 20 log10(f) + 20 log10(4 pi / c), d in m, f in Hz.
     """
-    return _log_affine(_require_positive("distance", d_m), _fspl_terms(f_hz))
+    return _loss_at(_require_positive("distance", d_m), _fspl_law(f_hz))
 
 
 def pl_inh_los(d_m: float, f_hz: float) -> float:
     """3GPP indoor-hotspot LOS path loss in dB: 32.4 + 17.3 log10(d) + 20 log10(f_GHz)."""
-    return _log_affine(_require_positive("distance", d_m), _inh_los_terms(f_hz))
+    return _loss_at(_require_positive("distance", d_m), _inh_los_law(f_hz))
 
 
 def pl_inf_los(d_m: float, f_hz: float) -> float:
     """3GPP indoor-factory LOS path loss in dB: 31.84 + 21.5 log10(d) + 19 log10(f_GHz)."""
-    return _log_affine(_require_positive("distance", d_m), _inf_los_terms(f_hz))
+    return _loss_at(_require_positive("distance", d_m), _inf_los_law(f_hz))
 
 
 def two_ray(d_m: float, geometry: AntennaGeometry) -> float:
@@ -217,7 +219,7 @@ def two_ray(d_m: float, geometry: AntennaGeometry) -> float:
     beyond the crossover distance 4 pi h_tx h_rx / lambda; use
     two_ray_crossover_m / PathLossModel.flags to detect near-field use.
     """
-    return _log_affine(_require_positive("distance", d_m), _two_ray_terms(geometry))
+    return _loss_at(_require_positive("distance", d_m), _two_ray_law(geometry))
 
 
 def two_ray_crossover_m(geometry: AntennaGeometry, f_hz: float) -> float:
@@ -238,8 +240,8 @@ def okumura_hata(
     + [44.9 - 6.55 log10(h_b)] log10(d_km)
     with C_h the mobile height correction selected by environment.city_size.
     """
-    return _log_affine(_require_positive("distance", d_m),
-                       _okumura_hata_terms(f_hz, geometry, environment))
+    return _loss_at(_require_positive("distance", d_m),
+                    _okumura_hata_law(f_hz, geometry, environment))
 
 
 def cost231_hata(
@@ -254,23 +256,23 @@ def cost231_hata(
     + [44.9 - 6.55 log10(h_b)] log10(d_km) + C_m
     with C_m = 3 dB urban, 0 dB suburban/open.
     """
-    return _log_affine(_require_positive("distance", d_m),
-                       _cost231_hata_terms(f_hz, geometry, environment))
+    return _loss_at(_require_positive("distance", d_m),
+                    _cost231_hata_law(f_hz, geometry, environment))
 
 
 GEOMETRY_KINDS = ("two-ray", "okumura-hata", "cost231-hata")
 HATA_KINDS = ("okumura-hata", "cost231-hata")
 
-# kind -> model -> its terms, from the builder behind the kind's free function.
-_TERM_BUILDERS = {
-    "fspl": lambda m: _fspl_terms(m.frequency.hz),
-    "inh-los": lambda m: _inh_los_terms(m.frequency.hz),
-    "inf-los": lambda m: _inf_los_terms(m.frequency.hz),
-    "two-ray": lambda m: _two_ray_terms(m.geometry),
-    "okumura-hata": lambda m: _okumura_hata_terms(m.frequency.hz, m.geometry, m.environment),
-    "cost231-hata": lambda m: _cost231_hata_terms(m.frequency.hz, m.geometry, m.environment),
+# kind -> model -> its law, from the builder behind the kind's free function.
+_LAW_BUILDERS = {
+    "fspl": lambda m: _fspl_law(m.frequency.hz),
+    "inh-los": lambda m: _inh_los_law(m.frequency.hz),
+    "inf-los": lambda m: _inf_los_law(m.frequency.hz),
+    "two-ray": lambda m: _two_ray_law(m.geometry),
+    "okumura-hata": lambda m: _okumura_hata_law(m.frequency.hz, m.geometry, m.environment),
+    "cost231-hata": lambda m: _cost231_hata_law(m.frequency.hz, m.geometry, m.environment),
 }
-MODEL_KINDS = tuple(_TERM_BUILDERS)
+MODEL_KINDS = tuple(_LAW_BUILDERS)
 
 # kind -> (flag code, low, high, unit in m, detail given the value) of its stated distance
 # range, bounds in the unit; a two-ray model's range starts at its crossover, FSPL has none.
@@ -288,13 +290,14 @@ _DISTANCE_RULES = {
 class PathLossModel:
     """One parameterized path-loss model, evaluable at any positive distance.
 
-    Every supported model is affine in log10(distance):
-    PL(d) = intercept_db + slope_db_per_decade * log10(d / 1 m). Construction
-    resolves everything that does not depend on distance once: the terms the
-    free function would build, both coefficients, the stated ranges that do
-    not depend on distance, and the distance range. It fails unless the slope
-    is positive, so PL strictly increases with distance, and unless a two-ray
-    crossover distance is finite.
+    Every supported model is one law, PL(d) = a + b log10(d / 1 m), stored as
+    intercept_db (a, the loss at 1 m) and slope_db_per_decade (b). The law
+    comes from the builder behind the kind's free function, so path_loss,
+    that function and evaluate_sweep give the same loss bit for bit, and
+    distance_for_path_loss inverts the same law. Construction also resolves
+    the stated ranges that do not depend on distance and the distance range.
+    It fails unless the slope is positive, so PL strictly increases with
+    distance, and unless a two-ray crossover distance is finite.
 
     Values are immutable after construction; evaluation is a pure function
     of (model, distance), safe for concurrent use.
@@ -313,9 +316,7 @@ class PathLossModel:
             raise ValueError(f"model {self.kind!r} needs antenna heights; set h_tx_m and h_rx_m")
         if self.kind in HATA_KINDS and self.environment is None:
             raise ValueError(f"model {self.kind!r} requires a Hata environment")
-        terms = _TERM_BUILDERS[self.kind](self)
-        intercept = _log_affine(1.0, terms)
-        slope = _log_affine(10.0, terms) - intercept
+        intercept, slope = _LAW_BUILDERS[self.kind](self)
         if not slope > 0.0:
             raise ValueError(
                 f"model {self.kind!r} must lose more with distance; got a slope of "
@@ -342,13 +343,13 @@ class PathLossModel:
                                 if not lo <= value <= hi)
         object.__setattr__(self, "intercept_db", intercept)
         object.__setattr__(self, "slope_db_per_decade", slope)
-        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_distance_rule", distance_rule)
         object.__setattr__(self, "_fixed_flags", fixed_flags)
 
     def path_loss(self, d_m: float) -> float:
         """Path loss in dB at distance d_m (meters), equal to the model's free function."""
-        return _log_affine(_require_positive("distance", d_m), self._terms)
+        d_m = _require_positive("distance", d_m)
+        return self.intercept_db + self.slope_db_per_decade * math.log10(d_m)
 
     def flags(self, d_m: float) -> tuple[ValidityFlag, ...]:
         """Out-of-domain notes for evaluating this model at d_m; empty if none.
@@ -376,9 +377,8 @@ def evaluate_sweep(
     """Evaluate a model over a distance grid; returns (distance_m, pl_db) pairs.
 
     spacing is "linear" or "log"; endpoints are hit exactly, and a grid
-    point that would overflow the float range is a ValueError. Losses come
-    from the model's log-affine coefficients, so each agrees with
-    model.path_loss(d) to rounding (well under 1e-9 dB).
+    point that would overflow the float range is a ValueError. Each loss is
+    a + b log10(d) on the model's law, equal to model.path_loss(d) bit for bit.
     """
     d_start_m = _require_positive("d_start", d_start_m)
     d_end_m = _require_positive("d_end", d_end_m)

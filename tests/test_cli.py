@@ -461,7 +461,7 @@ class TestPlan:
         assert code == 0
         _, body = parse_csv(out)
         binding = {(row[0], row[1]): (row[3], row[4]) for row in body}
-        assert binding["cost231-hata", "rssi"] == ("0.12580240462714082", "0")
+        assert binding["cost231-hata", "rssi"] == ("0.1258024046271408", "0")
         assert binding["cost231-hata", "snr"] == ("unreachable", "1")
         # with every criterion unreachable, none binds
         assert binding["fspl", "rssi"] == binding["fspl", "snr"] == ("unreachable", "0")
@@ -604,7 +604,7 @@ def test_run_matches_golden_transcript(tmp_path, name):
 
 
 def test_import_and_plan_leave_numpy_unloaded():
-    """Only fitting needs numpy, so importing dectlink and planning must not load it."""
+    """No dectlink module imports numpy, so importing dectlink and planning must not load it."""
     script = (
         "import sys\n"
         "import dectlink, dectlink.cli\n"

@@ -206,6 +206,32 @@ def test_model_matches_free_function_and_stated_ranges_exactly(model, data):
         assert model.flags(d_m) == reference_flags(model, d_m)
 
 
+# kind -> model -> the dB per decade of the kind's textbook formula.
+TEXTBOOK_SLOPES = {
+    "fspl": lambda m: 20.0,
+    "inh-los": lambda m: 17.3,
+    "inf-los": lambda m: 21.5,
+    "two-ray": lambda m: 40.0,
+    **dict.fromkeys(HATA_KINDS, lambda m: 44.9 - 6.55 * math.log10(m.geometry.h_tx_m)),
+}
+
+
+@settings(PROPERTY, max_examples=400)
+@given(any_models(), st.lists(log_uniform(1e-3, 1e7), min_size=2, max_size=2, unique=True),
+       st.integers(2, 20), st.sampled_from(("log", "linear")))
+def test_every_evaluation_and_the_solver_read_one_law(model, ends, points, spacing):
+    """Sweep, path_loss and free function agree bit for bit; the solver's unreachable
+    rule is exactly path_loss(0.1 m) > target; each slope is its textbook constant."""
+    free_function = FREE_FUNCTIONS[model.kind]
+    for d_m, pl_db in evaluate_sweep(model, *sorted(ends), points, spacing):
+        assert pl_db == model.path_loss(d_m) == free_function(model, d_m)
+    pl_min = model.path_loss(0.1)
+    assert distance_for_path_loss(model, pl_min) == pytest.approx(0.1, rel=1e-12)
+    with pytest.raises(ThresholdUnreachable):
+        distance_for_path_loss(model, math.nextafter(pl_min, -math.inf))
+    assert model.slope_db_per_decade == TEXTBOOK_SLOPES[model.kind](model)
+
+
 EXTREME_VALUES = st.sampled_from((0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
                                   -math.inf))
 # Each optional flag of `model eval` with its ordinary values; omitted when None is drawn.
