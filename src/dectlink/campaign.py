@@ -206,6 +206,12 @@ class CampaignRecord:
     reliable: bool
 
 
+def _reliable_on_both(sr_pcc_pct: float, sr_pdc_pct: float,
+                      thresholds: ReliabilityThresholds) -> bool:
+    """The campaign's reliability rule: PCC and PDC success rates both clear the floor."""
+    return is_reliable(sr_pcc_pct, thresholds) and is_reliable(sr_pdc_pct, thresholds)
+
+
 def summarize(
     capture: LocationCapture,
     budget: LinkBudget,
@@ -250,7 +256,7 @@ def summarize(
         empirical_pl_pdc_db=(
             empirical_pl(capture.p_tx_dbm, mean_pdc, budget) if mean_pdc is not None else None
         ),
-        reliable=is_reliable(sr_pcc, thresholds) and is_reliable(sr_pdc, thresholds),
+        reliable=_reliable_on_both(sr_pcc, sr_pdc, thresholds),
     )
 
 
@@ -260,17 +266,10 @@ def max_reliable_distance(
 ) -> CampaignRecord:
     """The farthest record whose PCC and PDC success rates both clear the floor.
 
-    Raises ValueError when no record qualifies.
+    Raises ValueError when no record qualifies; of equally far records, the first wins.
     """
-    best: CampaignRecord | None = None
-    for record in records:
-        if not (
-            is_reliable(record.sr_pcc_pct, thresholds)
-            and is_reliable(record.sr_pdc_pct, thresholds)
-        ):
-            continue
-        if best is None or record.distance_m > best.distance_m:
-            best = record
+    best = max((r for r in records if _reliable_on_both(r.sr_pcc_pct, r.sr_pdc_pct, thresholds)),
+               key=lambda r: r.distance_m, default=None)
     if best is None:
         raise ValueError("no record meets the reliability threshold on both channels")
     return best
