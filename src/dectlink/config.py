@@ -9,12 +9,14 @@ reads them; DECTLINK_CONFIG names a default file path.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
 from .budget import LinkBudget, ReliabilityThresholds
 from .propagation import (
-    HATA_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel, _require_positive,
+    GEOMETRY_KINDS, HATA_KINDS, MODEL_KINDS, AntennaGeometry, Frequency, HataEnvironment,
+    PathLossModel, _require_positive,
 )
 from .tabular import field_parsers, parse_key_values
 
@@ -26,6 +28,45 @@ if TYPE_CHECKING:
 
 CONFIG_ENV_VAR = "DECTLINK_CONFIG"
 
+_THRESHOLD_FIELDS = tuple(f.name for f in fields(ReliabilityThresholds))
+# Models that need nothing but the carrier, so every config on one carrier can share them.
+_CARRIER_KINDS = tuple(kind for kind in MODEL_KINDS if kind not in GEOMETRY_KINDS)
+
+# The run-level components shared between RunConfigs: one table per builder, keyed by
+# the exact inputs, so equal-but-distinct values (1899e6 and 1899000000, -0.0 and 0.0)
+# never share. Only a value that passed its checks is stored, and a table is cleared
+# when it holds _SHARED_BOUND entries. Without a lock, concurrent misses may build one
+# value twice; every value is frozen and equal to a fresh build, so nothing is lost.
+_SHARED_BOUND = 16
+_KEYED_TYPES = frozenset((float, int, str))
+
+
+def _carrier(frequency_hz: float) -> tuple[Frequency, dict[str, PathLossModel]]:
+    """A carrier's Frequency and its carrier-only models by kind, filled in as asked for."""
+    return Frequency(frequency_hz), {}
+
+
+_SHARED: dict[Any, dict[tuple, Any]] = {
+    build: {} for build in (_carrier, LinkBudget, ReliabilityThresholds, HataEnvironment)
+}
+
+
+def _shared(build: Any, *args: Any) -> Any:
+    """build(*args), or the value an earlier call on exactly these inputs built."""
+    types = tuple(map(type, args))
+    if not _KEYED_TYPES.issuperset(types):
+        return build(*args)  # a value of another type may not key exactly; build it afresh
+    signs = tuple([math.copysign(1.0, a) for a in args if a == 0]) if 0 in args else ()
+    key = (args, types, signs)
+    table = _SHARED[build]
+    value = table.get(key)
+    if value is None:
+        value = build(*args)
+        if len(table) >= _SHARED_BOUND:
+            table.clear()
+        table[key] = value
+    return value
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -35,6 +76,14 @@ class RunConfig:
     given it explicitly rather than silently assuming heights. Every other
     default but the carrier is the default of the component it feeds.
     Construction checks every value and builds each component once.
+
+    The run-level components, the carrier's Frequency, the LinkBudget, the
+    ReliabilityThresholds and the HataEnvironment, are shared with every
+    RunConfig built on exactly the same inputs: each is keyed by its input
+    values and their types, with -0.0 apart from 0.0, in a table per
+    component that is cleared when it holds 16 entries. The antenna
+    geometry depends on the heights and stays each config's own, as do
+    the models built on it (see model).
     """
 
     frequency_hz: float = 1899e6
@@ -55,17 +104,19 @@ class RunConfig:
     area_class: str = HataEnvironment.area_class
 
     def __post_init__(self) -> None:
-        # Each component is built once, in field order, so the first bad field is reported; each
-        # height is checked when set, the gain always. Thresholds fields are RunConfig fields.
+        # Each component is built or shared once, in field order, so the first bad field is
+        # reported; each height is checked when set, the gain always. A shared component takes
+        # its fields positionally, in declaration order; Thresholds fields are RunConfig fields.
+        frequency, carrier_models = _shared(_carrier, self.frequency_hz)
         built = {
-            "_frequency": Frequency(self.frequency_hz),
-            "_budget": LinkBudget(
-                p_tx_dbm=self.tx_power_dbm, side_correction_tx_db=self.correction_tx_db,
-                side_correction_rx_db=self.correction_rx_db, bandwidth_hz=self.bandwidth_hz,
-                noise_figure_db=self.noise_figure_db,
+            "_frequency": frequency,
+            "_carrier_models": carrier_models,
+            "_budget": _shared(
+                LinkBudget, self.tx_power_dbm, self.correction_tx_db, self.correction_rx_db,
+                self.bandwidth_hz, self.noise_figure_db,
             ),
-            "_thresholds": ReliabilityThresholds(
-                **{f.name: getattr(self, f.name) for f in fields(ReliabilityThresholds)}
+            "_thresholds": _shared(
+                ReliabilityThresholds, *[getattr(self, name) for name in _THRESHOLD_FIELDS]
             ),
         }
         heights = (self.h_tx_m, self.h_rx_m)
@@ -74,7 +125,7 @@ class RunConfig:
                 _require_positive(name, height)
         gain = _require_positive("antenna_gain", self.antenna_gain)
         built["_geometry"] = None if None in heights else AntennaGeometry(*heights, gain)
-        built["_environment"] = HataEnvironment(self.city_size, self.area_class)
+        built["_environment"] = _shared(HataEnvironment, self.city_size, self.area_class)
         for name, value in built.items():
             object.__setattr__(self, name, value)
 
@@ -89,10 +140,20 @@ class RunConfig:
         return self._geometry
 
     def model(self, kind: str) -> PathLossModel:
-        """Build a PathLossModel of the given kind from this configuration's components.
+        """A PathLossModel of the given kind from this configuration's components.
 
-        Raises ValueError when the kind needs geometry and no heights are configured.
+        A carrier-only kind (fspl, inh-los, inf-los) carries the Frequency
+        alone, no geometry or environment, and is built once per carrier
+        and shared by every config on that carrier. The geometry kinds are
+        built on each call from this config's heights. Raises ValueError
+        when the kind needs geometry and no heights are configured.
         """
+        if kind in _CARRIER_KINDS:
+            models = self._carrier_models
+            model = models.get(kind)
+            if model is None:
+                model = models[kind] = PathLossModel(kind, self._frequency)
+            return model
         environment = self._environment if kind in HATA_KINDS else None
         return PathLossModel(kind, self._frequency, self._geometry, environment)
 

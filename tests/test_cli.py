@@ -595,6 +595,23 @@ def test_warning_format_is_restored_after_a_run(capsys, tmp_path):
     assert warnings.formatwarning is formatwarning
 
 
+def test_runs_in_one_interpreter_print_what_fresh_processes_do(capsys):
+    """Components shared between runs never carry one run's value into the next: an equal
+    value of another spelling or zero sign prints as it does in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in (CONFIG_ENV_VAR, "PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = str(golden_runs.SRC)
+    plan = ("plan", "--environment", "indoor", "--tx-power")
+    fspl_eval = ("model", "eval", "--model", "fspl", "--d", "2294", "--f")
+    for argv in ((*plan, "0"), (*plan, "-0"), (*fspl_eval, "1899e6"), (*fspl_eval, "1899000000")):
+        fresh = subprocess.run([sys.executable, "-m", "dectlink.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0
+    assert run_cli(capsys, *plan, "-0")[1].startswith(
+        "environment: indoor   tx power: -0.00 dBm   ")
+
+
 @pytest.mark.parametrize("name", golden_runs.RUNS)
 def test_run_matches_golden_transcript(tmp_path, name):
     """Exit code, stdout, stderr and --out file of a fresh CLI process, byte for byte."""

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import pytest
 
+from dectlink import config
 from dectlink.budget import LinkBudget
 from dectlink.config import CONFIG_ENV_VAR, RunConfig, load_config, parse_config_text
+from dectlink.propagation import Frequency, PathLossModel
 
 # (field, built-in default, file value, override value)
 PRECEDENCE_CASES = [
@@ -159,3 +163,93 @@ class TestHelpers:
 
     def test_env_var_name_is_stable(self):
         assert CONFIG_ENV_VAR == "DECTLINK_CONFIG"
+
+
+def shared_tables():
+    """A copy of every shared table, with each carrier's models as they stand."""
+    return {build: {key: (value, dict(value[1])) if build is config._carrier else value
+                    for key, value in table.items()}
+            for build, table in config._SHARED.items()}
+
+
+class TestSharedComponents:
+    CARRIER_KINDS = ("fspl", "inh-los", "inf-los")
+
+    def test_configs_on_one_carrier_share_its_frequency_and_models(self):
+        first = RunConfig(frequency_hz=1.8815e9, tx_power_dbm=19.0)
+        second = RunConfig(frequency_hz=1.8815e9, h_tx_m=10.0, h_rx_m=1.5, city_size="large")
+        other = RunConfig(frequency_hz=1.8835e9)
+        for kind in self.CARRIER_KINDS:
+            model = first.model(kind)
+            assert second.model(kind) is model
+            assert model.frequency is second.model("okumura-hata").frequency
+            # A carrier-only model carries neither the config's geometry nor its environment.
+            assert model.geometry is None and model.environment is None
+            assert other.model(kind) is not model and other.model(kind) == PathLossModel(
+                kind, Frequency(1.8835e9))
+        assert second.model("two-ray") is not second.model("two-ray")
+
+    def test_type_and_zero_sign_survive_a_warm_table(self):
+        RunConfig(frequency_hz=1899e6, tx_power_dbm=0.0, min_success_rate=0.0)
+        cfg = RunConfig(frequency_hz=1899000000, tx_power_dbm=-0.0, min_success_rate=-0.0)
+        assert type(cfg.model("fspl").frequency.hz) is int
+        assert repr(cfg.budget().p_tx_dbm) == "-0.0"
+        assert repr(cfg.thresholds().min_success_rate) == "-0.0"
+        again = RunConfig(frequency_hz=1899e6, tx_power_dbm=0.0)
+        assert type(again.model("fspl").frequency.hz) is float
+        assert repr(again.budget().p_tx_dbm) == "0.0"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"frequency_hz": math.nan}, "^frequency must"),
+        ({"frequency_hz": math.inf}, "^frequency must"),
+        ({"frequency_hz": -1899e6}, "^frequency must"),
+        ({"bandwidth_hz": math.nan}, "^bandwidth_hz must"),
+        ({"tx_power_dbm": math.inf}, "^p_tx_dbm must"),
+        ({"noise_figure_db": -math.inf}, "^noise_figure_db must"),
+        ({"min_success_rate": -1.0}, "^min_success_rate must"),
+        ({"snr_floor_outdoor_db": math.nan}, "^snr_floor_outdoor_db must"),
+        ({"area_class": "rural"}, "^area_class must"),
+    ])
+    def test_a_bad_value_raises_on_every_call_and_is_never_stored(self, overrides, message):
+        RunConfig()
+        before = shared_tables()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                RunConfig(**overrides)
+        assert shared_tables() == before
+
+    def test_a_kind_that_fails_raises_on_every_call_and_is_never_stored(self):
+        cfg, subnormal = RunConfig(), RunConfig(frequency_hz=1e-320)
+        before = shared_tables()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="model kind must be one of"):
+                cfg.model("ray-tracing")
+            with pytest.raises(ValueError, match="underflows to 0 GHz"):
+                subnormal.model("inh-los")
+        assert shared_tables() == before
+
+    def test_tables_hold_at_most_their_bound(self):
+        for i in range(10_000):
+            RunConfig(frequency_hz=1e9 + i, tx_power_dbm=float(i), snr_floor_indoor_db=i / 8)
+        assert all(len(table) <= config._SHARED_BOUND for table in config._SHARED.values())
+
+    def test_threads_sharing_the_tables_each_get_their_own_carrier(self):
+        def plan(offset, found):
+            for i in range(200):
+                hz = 1e9 + (i + offset) % 40
+                model = RunConfig(frequency_hz=hz, tx_power_dbm=float(i % 3)).model("fspl")
+                found.append(model == PathLossModel("fspl", Frequency(hz)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = [[] for _ in range(4)]
+            threads = [threading.Thread(target=plan, args=(7 * n, found[n])) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(each) == 200 and all(each) for each in found)

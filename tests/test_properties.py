@@ -32,6 +32,7 @@ from dectlink.propagation import (
     AREA_CLASSES,
     CITY_SIZES,
     COST231_FREQ_RANGE_MHZ,
+    GEOMETRY_KINDS,
     HATA_DISTANCE_RANGE_KM,
     HATA_KINDS,
     HATA_TX_HEIGHT_RANGE_M,
@@ -651,6 +652,103 @@ def test_one_out_of_rule_value_fails_to_load(config_path, config_and_text, name,
     message = f"{config_path.name}: {wording}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(config_path)
+
+
+# ------------------------------------------------------------------ shared components
+
+NUMBERS = st.one_of(st.floats(-200.0, 200.0), st.integers(-200, 200), EXTREME_VALUES,
+                    st.sampled_from((0.0, -0.0)))
+# The run-level fields a RunConfig shares by value: ordinary values, ints, both zeros and
+# extremes, some of which each component refuses.
+SHARED_FIELD_VALUES = {
+    "frequency_hz": st.one_of(log_uniform(1e6, 1e11), st.integers(10**6, 10**11), NUMBERS),
+    "bandwidth_hz": st.one_of(log_uniform(1e3, 1e8), st.integers(1, 10**8), NUMBERS),
+    "min_success_rate": st.one_of(st.floats(0.0, 100.0), st.integers(0, 100), NUMBERS),
+    "city_size": st.sampled_from(CITY_SIZES),
+    "area_class": st.sampled_from(AREA_CLASSES),
+    **dict.fromkeys(("tx_power_dbm", "correction_tx_db", "correction_rx_db", "noise_figure_db",
+                     "rssi_floor_indoor_dbm", "rssi_floor_outdoor_dbm", "snr_floor_indoor_db",
+                     "snr_floor_outdoor_db"), NUMBERS),
+}
+RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+
+@st.composite
+def shared_configs(draw) -> dict:
+    """Every RunConfig field: a few run-level ones drawn, heights always set."""
+    chosen = draw(st.lists(st.sampled_from(sorted(SHARED_FIELD_VALUES)), unique=True,
+                           max_size=4))
+    heights = st.one_of(log_uniform(1e-2, 1e3), st.integers(1, 100))
+    return RUN_DEFAULTS | {name: draw(SHARED_FIELD_VALUES[name]) for name in chosen} | {
+        "h_tx_m": draw(heights), "h_rx_m": draw(heights), "antenna_gain": draw(heights)}
+
+
+def twin(value):
+    """An equal value of another type or zero sign, or the value itself when it has none."""
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float) and value == 0.0:
+        return -value
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    return value
+
+
+def fingerprint(build):
+    """What a model or component shows, by repr so that a type or a zero sign counts too,
+    or the text of the ValueError that building it raises."""
+    try:
+        built = build()
+    except ValueError as exc:
+        return "refused", str(exc)
+    if isinstance(built, PathLossModel):
+        distances = (0.1, 1.0, 150.0, 1e3, 2e4, 1e6)
+        return (repr(built), repr((built.intercept_db, built.slope_db_per_decade)),
+                repr([built.path_loss(d) for d in distances]), [built.flags(d) for d in distances])
+    if isinstance(built, LinkBudget):
+        return repr(built), repr((built.total_correction_db, built.noise_floor_dbm))
+    return (repr(built),)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(shared_configs())
+@example({**RUN_DEFAULTS, "h_tx_m": 10.0, "h_rx_m": 1.5, "antenna_gain": 1.0,
+          "tx_power_dbm": -0.0, "frequency_hz": 1899000000})
+def test_shared_components_equal_fresh_ones_bit_for_bit(values):
+    """Built on tables warmed by an equal config of other types and zero signs, each shared
+    component and model is the one a fresh build gives, and is shared with the next config."""
+    v = values
+    fresh = {
+        "budget": lambda: LinkBudget(v["tx_power_dbm"], v["correction_tx_db"],
+                                     v["correction_rx_db"], v["bandwidth_hz"],
+                                     v["noise_figure_db"]),
+        "thresholds": lambda: ReliabilityThresholds(
+            v["min_success_rate"], v["rssi_floor_indoor_dbm"], v["rssi_floor_outdoor_dbm"],
+            v["snr_floor_indoor_db"], v["snr_floor_outdoor_db"]),
+        # The geometry is each config's own, so a geometry kind is built on the config's.
+        **{kind: lambda kind=kind: PathLossModel(
+            kind, Frequency(v["frequency_hz"]), cfg.geometry() if kind in GEOMETRY_KINDS else None,
+            HataEnvironment(v["city_size"], v["area_class"]) if kind in HATA_KINDS else None)
+           for kind in MODEL_KINDS},
+    }
+    fingerprint(lambda: RunConfig(**{name: twin(value) for name, value in values.items()}))
+    try:
+        first = RunConfig(**values)
+    except ValueError as exc:
+        # The first component to refuse its values names them, on every call.
+        refusals = [shown[1] for build in (lambda: Frequency(v["frequency_hz"]),
+                                           fresh["budget"], fresh["thresholds"])
+                    if (shown := fingerprint(build))[0] == "refused"]
+        assert refusals and str(exc) == refusals[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(refusals[0])}$"):
+            RunConfig(**values)
+        return
+    cfg = RunConfig(**values)
+    assert cfg.budget() is first.budget() and cfg.thresholds() is first.thresholds()
+    shown = {"budget": cfg.budget, "thresholds": cfg.thresholds,
+             **{kind: lambda kind=kind: cfg.model(kind) for kind in MODEL_KINDS}}
+    for name, build in fresh.items():
+        assert fingerprint(shown[name]) == fingerprint(build), name
 
 
 # ------------------------------------------------------------------ fitting
