@@ -3,14 +3,15 @@ each model against its free function and stated ranges, every CLI
 subcommand (`model eval`, `model sweep`, `plan`, `report`, `analyze` and
 `fit`) over extreme flag values and input files, the CLI's CSV cells over
 any float, capture ingestion over random, oddly formatted capture files,
-config files over random valid configurations, and the two fit engines over
-random, often degenerate point sets."""
+config files over random valid configurations, the components RunConfigs
+share against fresh builds, and the two fit engines over random, often
+degenerate point sets."""
 
 import dataclasses
 import io
 import math
 import re
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
 from hypothesis import example, given, settings
@@ -731,14 +732,15 @@ def test_shared_components_equal_fresh_ones_bit_for_bit(values):
             HataEnvironment(v["city_size"], v["area_class"]) if kind in HATA_KINDS else None)
            for kind in MODEL_KINDS},
     }
-    fingerprint(lambda: RunConfig(**{name: twin(value) for name, value in values.items()}))
+    with suppress(ValueError):
+        RunConfig(**{name: twin(value) for name, value in values.items()})
     try:
         first = RunConfig(**values)
     except ValueError as exc:
         # The first component to refuse its values names them, on every call.
-        refusals = [shown[1] for build in (lambda: Frequency(v["frequency_hz"]),
-                                           fresh["budget"], fresh["thresholds"])
-                    if (shown := fingerprint(build))[0] == "refused"]
+        refusals = [outcome[1] for build in (lambda: Frequency(v["frequency_hz"]),
+                                             fresh["budget"], fresh["thresholds"])
+                    if (outcome := fingerprint(build))[0] == "refused"]
         assert refusals and str(exc) == refusals[0]
         with pytest.raises(ValueError, match=f"^{re.escape(refusals[0])}$"):
             RunConfig(**values)
