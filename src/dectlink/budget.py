@@ -12,9 +12,10 @@ built, so a prediction evaluates the model once and adds a few terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .propagation import PathLossModel, _require_choice, _require_finite, _require_positive
+from .propagation import (
+    PathLossModel, _require_choice, _require_finite, _require_positive, _setattr, _Value,
+)
 
 ENVIRONMENTS = ("indoor", "outdoor")
 
@@ -33,8 +34,7 @@ def _require_percent(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(_Value):
     """Transmit power plus per-side correction terms and receiver noise profile.
 
     Corrections fold antenna gain and cable loss into one signed dB term per
@@ -44,52 +44,59 @@ class LinkBudget:
     -174 + 10 log10(BW) + NF in dBm, once.
     """
 
-    p_tx_dbm: float = 0.0
-    side_correction_tx_db: float = 1.0
-    side_correction_rx_db: float = 1.0
-    bandwidth_hz: float = 1.728e6
-    noise_figure_db: float = 10.0
-    total_correction_db: float = field(init=False, compare=False, repr=False)
-    noise_floor_dbm: float = field(init=False, compare=False, repr=False)
+    __match_args__ = ("p_tx_dbm", "side_correction_tx_db", "side_correction_rx_db",
+                      "bandwidth_hz", "noise_figure_db")
+    __slots__ = (*__match_args__, "total_correction_db", "noise_floor_dbm")
 
-    def __post_init__(self) -> None:
-        _require_positive("bandwidth_hz", self.bandwidth_hz)
-        for name in (
-            "p_tx_dbm", "side_correction_tx_db", "side_correction_rx_db", "noise_figure_db"
-        ):
-            _require_finite(name, getattr(self, name))
-        total = self.side_correction_tx_db + self.side_correction_rx_db
-        _require_finite("side_correction_tx_db + side_correction_rx_db", total)
-        object.__setattr__(self, "total_correction_db", total)
-        object.__setattr__(
-            self, "noise_floor_dbm",
-            THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db,
-        )
+    def __init__(
+        self,
+        p_tx_dbm: float = 0.0,
+        side_correction_tx_db: float = 1.0,
+        side_correction_rx_db: float = 1.0,
+        bandwidth_hz: float = 1.728e6,
+        noise_figure_db: float = 10.0,
+    ) -> None:
+        bandwidth_hz = _require_positive("bandwidth_hz", bandwidth_hz)
+        p_tx_dbm = _require_finite("p_tx_dbm", p_tx_dbm)
+        side_correction_tx_db = _require_finite("side_correction_tx_db", side_correction_tx_db)
+        side_correction_rx_db = _require_finite("side_correction_rx_db", side_correction_rx_db)
+        noise_figure_db = _require_finite("noise_figure_db", noise_figure_db)
+        total = _require_finite("side_correction_tx_db + side_correction_rx_db",
+                                side_correction_tx_db + side_correction_rx_db)
+        _setattr(self, "p_tx_dbm", p_tx_dbm)
+        _setattr(self, "side_correction_tx_db", side_correction_tx_db)
+        _setattr(self, "side_correction_rx_db", side_correction_rx_db)
+        _setattr(self, "bandwidth_hz", bandwidth_hz)
+        _setattr(self, "noise_figure_db", noise_figure_db)
+        _setattr(self, "total_correction_db", total)
+        _setattr(self, "noise_floor_dbm",
+                 THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db)
 
 
-@dataclass(frozen=True)
-class ReliabilityThresholds:
+class ReliabilityThresholds(_Value):
     """Floors a link must clear to count as reliable.
 
     Success rate is compared strictly: sr must exceed min_success_rate, so a
     link sitting exactly on the floor does not qualify.
     """
 
-    min_success_rate: float = 90.0
-    rssi_floor_indoor_dbm: float = -90.0
-    rssi_floor_outdoor_dbm: float = -95.0
-    snr_floor_indoor_db: float = 11.5
-    snr_floor_outdoor_db: float = 13.5
+    __slots__ = __match_args__ = ("min_success_rate", "rssi_floor_indoor_dbm",
+                                  "rssi_floor_outdoor_dbm", "snr_floor_indoor_db",
+                                  "snr_floor_outdoor_db")
 
-    def __post_init__(self) -> None:
-        _require_percent("min_success_rate", self.min_success_rate)
-        for name in (
-            "rssi_floor_indoor_dbm",
-            "rssi_floor_outdoor_dbm",
-            "snr_floor_indoor_db",
-            "snr_floor_outdoor_db",
-        ):
-            _require_finite(name, getattr(self, name))
+    def __init__(
+        self,
+        min_success_rate: float = 90.0,
+        rssi_floor_indoor_dbm: float = -90.0,
+        rssi_floor_outdoor_dbm: float = -95.0,
+        snr_floor_indoor_db: float = 11.5,
+        snr_floor_outdoor_db: float = 13.5,
+    ) -> None:
+        _setattr(self, "min_success_rate", _require_percent("min_success_rate", min_success_rate))
+        floors = (rssi_floor_indoor_dbm, rssi_floor_outdoor_dbm, snr_floor_indoor_db,
+                  snr_floor_outdoor_db)
+        for name, value in zip(self.__match_args__[1:], floors):
+            _setattr(self, name, _require_finite(name, value))
 
     def rssi_floor_dbm(self, environment: str) -> float:
         _require_choice("environment", environment, ENVIRONMENTS)

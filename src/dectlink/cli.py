@@ -30,7 +30,6 @@ import sys
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import fields
 
 from .budget import (
     ENVIRONMENTS,
@@ -196,7 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> Answer:
         )
     except ValueError:
         lines.append("max reliable distance: none (no location clears the threshold)")
-    return tuple(f.name for f in fields(CampaignRecord)), rows, lines
+    return CampaignRecord.__match_args__, rows, lines
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float]]:

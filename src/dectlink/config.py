@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
 
 from .budget import LinkBudget, ReliabilityThresholds
 from .propagation import (
     GEOMETRY_KINDS, HATA_KINDS, MODEL_KINDS, AntennaGeometry, Frequency, HataEnvironment,
-    PathLossModel, _require_positive,
+    PathLossModel, _require_positive, _setattr, _Value,
 )
 from .tabular import field_parsers, parse_key_values
 
@@ -28,15 +27,16 @@ if TYPE_CHECKING:
 
 CONFIG_ENV_VAR = "DECTLINK_CONFIG"
 
-_THRESHOLD_FIELDS = tuple(f.name for f in fields(ReliabilityThresholds))
 # Models that need nothing but the carrier, so every config on one carrier can share them.
 _CARRIER_KINDS = tuple(kind for kind in MODEL_KINDS if kind not in GEOMETRY_KINDS)
 
 # The run-level components shared between RunConfigs: one table per builder, keyed by
-# the exact inputs, so equal-but-distinct values (1899e6 and 1899000000, -0.0 and 0.0)
-# never share. Only a value that passed its checks is stored, and a table is cleared
-# when it holds _SHARED_BOUND entries. Without a lock, concurrent misses may build one
-# value twice; every value is frozen and equal to a fresh build, so nothing is lost.
+# the input values and the sign of each zero. Every component stores the floats its
+# checks return, so equal inputs of two types (1899e6 and 1899000000) build equal
+# components and may share, while -0.0 and 0.0 never do. Only a value that passed its
+# checks is stored, and a table is cleared when it holds _SHARED_BOUND entries. Without
+# a lock, concurrent misses may build one value twice; every value is frozen and equal
+# to a fresh build, so nothing is lost.
 _SHARED_BOUND = 16
 _KEYED_TYPES = frozenset((float, int, str))
 
@@ -52,12 +52,11 @@ _SHARED: dict[Any, dict[tuple, Any]] = {
 
 
 def _shared(build: Any, *args: Any) -> Any:
-    """build(*args), or the value an earlier call on exactly these inputs built."""
-    types = tuple(map(type, args))
-    if not _KEYED_TYPES.issuperset(types):
+    """build(*args), or the value an earlier call on equal inputs with equal zero signs built."""
+    if not _KEYED_TYPES.issuperset(map(type, args)):
         return build(*args)  # a value of another type may not key exactly; build it afresh
     signs = tuple([math.copysign(1.0, a) for a in args if a == 0]) if 0 in args else ()
-    key = (args, types, signs)
+    key = (args, signs)
     table = _SHARED[build]
     value = table.get(key)
     if value is None:
@@ -68,66 +67,86 @@ def _shared(build: Any, *args: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _defaults(cls: type) -> dict[str, Any]:
+    """The defaults of cls's __init__ by field name; the fields that have one come last."""
+    defaults = cls.__init__.__defaults__
+    return dict(zip(cls.__match_args__[-len(defaults):], defaults))
+
+
+_BUDGET, _THRESHOLDS = _defaults(LinkBudget), _defaults(ReliabilityThresholds)
+_GEOMETRY, _ENVIRONMENT = _defaults(AntennaGeometry), _defaults(HataEnvironment)
+
+
+class RunConfig(_Value):
     """Everything a planning or analysis run needs, in one flat record.
 
     Antenna heights default to None: models that need geometry must be
     given it explicitly rather than silently assuming heights. Every other
     default but the carrier is the default of the component it feeds.
-    Construction checks every value and builds each component once.
+    Construction checks every value, stores the float each check returns
+    and builds each component once.
 
     The run-level components, the carrier's Frequency, the LinkBudget, the
     ReliabilityThresholds and the HataEnvironment, are shared with every
-    RunConfig built on exactly the same inputs: each is keyed by its input
-    values and their types, with -0.0 apart from 0.0, in a table per
-    component that is cleared when it holds 16 entries. The antenna
-    geometry depends on the heights and stays each config's own, as do
-    the models built on it (see model).
+    RunConfig built on equal inputs: each is keyed by its input values,
+    with -0.0 apart from 0.0, in a table per component that is cleared when
+    it holds 16 entries. The antenna geometry depends on the heights and
+    stays each config's own, as do the models built on it (see model).
     """
 
-    frequency_hz: float = 1899e6
-    bandwidth_hz: float = LinkBudget.bandwidth_hz
-    tx_power_dbm: float = LinkBudget.p_tx_dbm
-    correction_tx_db: float = LinkBudget.side_correction_tx_db
-    correction_rx_db: float = LinkBudget.side_correction_rx_db
-    noise_figure_db: float = LinkBudget.noise_figure_db
-    min_success_rate: float = ReliabilityThresholds.min_success_rate
-    rssi_floor_indoor_dbm: float = ReliabilityThresholds.rssi_floor_indoor_dbm
-    rssi_floor_outdoor_dbm: float = ReliabilityThresholds.rssi_floor_outdoor_dbm
-    snr_floor_indoor_db: float = ReliabilityThresholds.snr_floor_indoor_db
-    snr_floor_outdoor_db: float = ReliabilityThresholds.snr_floor_outdoor_db
-    h_tx_m: float | None = None
-    h_rx_m: float | None = None
-    antenna_gain: float = AntennaGeometry.combined_gain
-    city_size: str = HataEnvironment.city_size
-    area_class: str = HataEnvironment.area_class
+    __match_args__ = (
+        "frequency_hz", "bandwidth_hz", "tx_power_dbm", "correction_tx_db", "correction_rx_db",
+        "noise_figure_db", "min_success_rate", "rssi_floor_indoor_dbm", "rssi_floor_outdoor_dbm",
+        "snr_floor_indoor_db", "snr_floor_outdoor_db", "h_tx_m", "h_rx_m", "antenna_gain",
+        "city_size", "area_class",
+    )
+    __slots__ = (*__match_args__, "_frequency", "_carrier_models", "_budget", "_thresholds",
+                 "_geometry", "_environment")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        frequency_hz: float = 1899e6,
+        bandwidth_hz: float = _BUDGET["bandwidth_hz"],
+        tx_power_dbm: float = _BUDGET["p_tx_dbm"],
+        correction_tx_db: float = _BUDGET["side_correction_tx_db"],
+        correction_rx_db: float = _BUDGET["side_correction_rx_db"],
+        noise_figure_db: float = _BUDGET["noise_figure_db"],
+        min_success_rate: float = _THRESHOLDS["min_success_rate"],
+        rssi_floor_indoor_dbm: float = _THRESHOLDS["rssi_floor_indoor_dbm"],
+        rssi_floor_outdoor_dbm: float = _THRESHOLDS["rssi_floor_outdoor_dbm"],
+        snr_floor_indoor_db: float = _THRESHOLDS["snr_floor_indoor_db"],
+        snr_floor_outdoor_db: float = _THRESHOLDS["snr_floor_outdoor_db"],
+        h_tx_m: float | None = None,
+        h_rx_m: float | None = None,
+        antenna_gain: float = _GEOMETRY["combined_gain"],
+        city_size: str = _ENVIRONMENT["city_size"],
+        area_class: str = _ENVIRONMENT["area_class"],
+    ) -> None:
         # Each component is built or shared once, in field order, so the first bad field is
         # reported; each height is checked when set, the gain always. A shared component takes
-        # its fields positionally, in declaration order; Thresholds fields are RunConfig fields.
-        frequency, carrier_models = _shared(_carrier, self.frequency_hz)
-        built = {
-            "_frequency": frequency,
-            "_carrier_models": carrier_models,
-            "_budget": _shared(
-                LinkBudget, self.tx_power_dbm, self.correction_tx_db, self.correction_rx_db,
-                self.bandwidth_hz, self.noise_figure_db,
-            ),
-            "_thresholds": _shared(
-                ReliabilityThresholds, *[getattr(self, name) for name in _THRESHOLD_FIELDS]
-            ),
-        }
-        heights = (self.h_tx_m, self.h_rx_m)
-        for name, height in zip(("h_tx_m", "h_rx_m"), heights):
-            if height is not None:
-                _require_positive(name, height)
-        gain = _require_positive("antenna_gain", self.antenna_gain)
-        built["_geometry"] = None if None in heights else AntennaGeometry(*heights, gain)
-        built["_environment"] = _shared(HataEnvironment, self.city_size, self.area_class)
-        for name, value in built.items():
-            object.__setattr__(self, name, value)
+        # its fields positionally, in declaration order.
+        frequency, carrier_models = _shared(_carrier, frequency_hz)
+        budget = _shared(LinkBudget, tx_power_dbm, correction_tx_db, correction_rx_db,
+                         bandwidth_hz, noise_figure_db)
+        thresholds = _shared(ReliabilityThresholds, min_success_rate, rssi_floor_indoor_dbm,
+                             rssi_floor_outdoor_dbm, snr_floor_indoor_db, snr_floor_outdoor_db)
+        if h_tx_m is not None:
+            h_tx_m = _require_positive("h_tx_m", h_tx_m)
+        if h_rx_m is not None:
+            h_rx_m = _require_positive("h_rx_m", h_rx_m)
+        gain = _require_positive("antenna_gain", antenna_gain)
+        geometry = (None if h_tx_m is None or h_rx_m is None
+                    else AntennaGeometry(h_tx_m, h_rx_m, gain))
+        environment = _shared(HataEnvironment, city_size, area_class)
+        # In __slots__ order: each field as its component stored it, then the components.
+        values = (
+            frequency.hz, budget.bandwidth_hz, budget.p_tx_dbm, budget.side_correction_tx_db,
+            budget.side_correction_rx_db, budget.noise_figure_db, *thresholds._values(),
+            h_tx_m, h_rx_m, gain, environment.city_size, environment.area_class,
+            frequency, carrier_models, budget, thresholds, geometry, environment,
+        )
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
 
     def budget(self) -> LinkBudget:
         return self._budget

@@ -10,7 +10,6 @@ have to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -48,14 +47,56 @@ def _require_choice(name: str, value: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class Frequency:
-    """Carrier frequency stored canonically in Hz."""
+# Stores a field or derived value of a _Value, whose own __setattr__ refuses every name.
+_setattr = object.__setattr__
 
-    hz: float
 
-    def __post_init__(self) -> None:
-        _require_positive("frequency", self.hz)
+class _Value:
+    """Base of the planning value classes: immutable, with slots, and built in one __init__.
+
+    A subclass names its fields, in order, in __match_args__, as a dataclass
+    does, and stores each with _setattr, together with any value it derives
+    from them. Values compare, hash, repr, copy and pickle over the fields
+    alone. A value equals only a value of its own class, never a tuple, and
+    cannot be indexed: that is why these are not named tuples.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__, which checks the fields again and derives the rest.
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frequency(_Value):
+    """Carrier frequency stored canonically in Hz, as a float."""
+
+    __slots__ = __match_args__ = ("hz",)
+
+    def __init__(self, hz: float) -> None:
+        _setattr(self, "hz", _require_positive("frequency", hz))
 
     @classmethod
     def from_mhz(cls, mhz: float) -> "Frequency":
@@ -66,26 +107,22 @@ class Frequency:
         return self.hz / 1e6
 
 
-@dataclass(frozen=True)
-class AntennaGeometry:
+class AntennaGeometry(_Value):
     """TX/RX antenna heights and combined linear antenna gain.
 
     The gain is dimensionless (linear, not dB); 1.0 means unity combined
     TX-RX gain.
     """
 
-    h_tx_m: float
-    h_rx_m: float
-    combined_gain: float = 1.0
+    __slots__ = __match_args__ = ("h_tx_m", "h_rx_m", "combined_gain")
 
-    def __post_init__(self) -> None:
-        _require_positive("h_tx_m", self.h_tx_m)
-        _require_positive("h_rx_m", self.h_rx_m)
-        _require_positive("combined_gain", self.combined_gain)
+    def __init__(self, h_tx_m: float, h_rx_m: float, combined_gain: float = 1.0) -> None:
+        _setattr(self, "h_tx_m", _require_positive("h_tx_m", h_tx_m))
+        _setattr(self, "h_rx_m", _require_positive("h_rx_m", h_rx_m))
+        _setattr(self, "combined_gain", _require_positive("combined_gain", combined_gain))
 
 
-@dataclass(frozen=True)
-class HataEnvironment:
+class HataEnvironment(_Value):
     """Environment selectors for the Hata model family.
 
     city_size picks the mobile-antenna height correction formula,
@@ -93,12 +130,11 @@ class HataEnvironment:
     suburban/open).
     """
 
-    city_size: str = "small-medium"
-    area_class: str = "urban"
+    __slots__ = __match_args__ = ("city_size", "area_class")
 
-    def __post_init__(self) -> None:
-        _require_choice("city_size", self.city_size, CITY_SIZES)
-        _require_choice("area_class", self.area_class, AREA_CLASSES)
+    def __init__(self, city_size: str = "small-medium", area_class: str = "urban") -> None:
+        _setattr(self, "city_size", _require_choice("city_size", city_size, CITY_SIZES))
+        _setattr(self, "area_class", _require_choice("area_class", area_class, AREA_CLASSES))
 
     @property
     def area_correction_db(self) -> float:
@@ -116,12 +152,14 @@ class HataEnvironment:
         return 0.8 + (1.1 * logf - 0.7) * h_rx_m - 1.56 * logf
 
 
-@dataclass(frozen=True)
-class ValidityFlag:
+class ValidityFlag(_Value):
     """Structured note that an evaluation sits outside a model's stated domain."""
 
-    code: str
-    detail: str
+    __slots__ = __match_args__ = ("code", "detail")
+
+    def __init__(self, code: str, detail: str) -> None:
+        _setattr(self, "code", code)
+        _setattr(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
@@ -286,8 +324,7 @@ _DISTANCE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class PathLossModel:
+class PathLossModel(_Value):
     """One parameterized path-loss model, evaluable at any positive distance.
 
     Every supported model is one law, PL(d) = a + b log10(d / 1 m), stored as
@@ -303,48 +340,55 @@ class PathLossModel:
     of (model, distance), safe for concurrent use.
     """
 
-    kind: str
-    frequency: Frequency
-    geometry: AntennaGeometry | None = None
-    environment: HataEnvironment | None = None
-    intercept_db: float = field(init=False, compare=False, repr=False)
-    slope_db_per_decade: float = field(init=False, compare=False, repr=False)
+    __match_args__ = ("kind", "frequency", "geometry", "environment")
+    __slots__ = (*__match_args__, "intercept_db", "slope_db_per_decade", "_distance_rule",
+                 "_fixed_flags")
 
-    def __post_init__(self) -> None:
-        _require_choice("model kind", self.kind, MODEL_KINDS)
-        if self.kind in GEOMETRY_KINDS and self.geometry is None:
-            raise ValueError(f"model {self.kind!r} needs antenna heights; set h_tx_m and h_rx_m")
-        if self.kind in HATA_KINDS and self.environment is None:
-            raise ValueError(f"model {self.kind!r} requires a Hata environment")
-        intercept, slope = _LAW_BUILDERS[self.kind](self)
+    def __init__(
+        self,
+        kind: str,
+        frequency: Frequency,
+        geometry: AntennaGeometry | None = None,
+        environment: HataEnvironment | None = None,
+    ) -> None:
+        _require_choice("model kind", kind, MODEL_KINDS)
+        if kind in GEOMETRY_KINDS and geometry is None:
+            raise ValueError(f"model {kind!r} needs antenna heights; set h_tx_m and h_rx_m")
+        if kind in HATA_KINDS and environment is None:
+            raise ValueError(f"model {kind!r} requires a Hata environment")
+        _setattr(self, "kind", kind)
+        _setattr(self, "frequency", frequency)
+        _setattr(self, "geometry", geometry)
+        _setattr(self, "environment", environment)
+        intercept, slope = _LAW_BUILDERS[kind](self)
         if not slope > 0.0:
             raise ValueError(
-                f"model {self.kind!r} must lose more with distance; got a slope of "
+                f"model {kind!r} must lose more with distance; got a slope of "
                 f"{slope!r} dB per decade"
             )
-        distance_rule, fixed_flags = _DISTANCE_RULES.get(self.kind), ()
-        if self.kind == "two-ray":
+        distance_rule, fixed_flags = _DISTANCE_RULES.get(kind), ()
+        if kind == "two-ray":
             crossover = _require_finite(
-                "two-ray crossover distance", two_ray_crossover_m(self.geometry, self.frequency.hz))
+                "two-ray crossover distance", two_ray_crossover_m(geometry, frequency.hz))
             detail = "distance {{:.2f}} m below two-ray crossover {:.2f} m".format(crossover)
             distance_rule = ("near-field", crossover, math.inf, 1.0, detail)
-        elif self.kind in HATA_KINDS:
-            f_range_mhz = (OKUMURA_HATA_FREQ_RANGE_MHZ if self.kind == "okumura-hata"
+        elif kind in HATA_KINDS:
+            f_range_mhz = (OKUMURA_HATA_FREQ_RANGE_MHZ if kind == "okumura-hata"
                            else COST231_FREQ_RANGE_MHZ)
             # (flag code, value, (low, high), detail given value, low, high)
             fixed = (
-                ("frequency-out-of-range", self.frequency.mhz, f_range_mhz,
+                ("frequency-out-of-range", frequency.mhz, f_range_mhz,
                  "{:.3f} MHz outside {:.0f}-{:.0f} MHz"),
-                ("tx-height-out-of-range", self.geometry.h_tx_m, HATA_TX_HEIGHT_RANGE_M,
+                ("tx-height-out-of-range", geometry.h_tx_m, HATA_TX_HEIGHT_RANGE_M,
                  "h_tx {:.2f} m outside {:.0f}-{:.0f} m"),
             )
             fixed_flags = tuple(ValidityFlag(code, detail.format(value, lo, hi))
                                 for code, value, (lo, hi), detail in fixed
                                 if not lo <= value <= hi)
-        object.__setattr__(self, "intercept_db", intercept)
-        object.__setattr__(self, "slope_db_per_decade", slope)
-        object.__setattr__(self, "_distance_rule", distance_rule)
-        object.__setattr__(self, "_fixed_flags", fixed_flags)
+        _setattr(self, "intercept_db", intercept)
+        _setattr(self, "slope_db_per_decade", slope)
+        _setattr(self, "_distance_rule", distance_rule)
+        _setattr(self, "_fixed_flags", fixed_flags)
 
     def path_loss(self, d_m: float) -> float:
         """Path loss in dB at distance d_m (meters), equal to the model's free function."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import fields
 from itertools import repeat
 
 TYPE_CHECKING = False
@@ -130,18 +129,19 @@ def _none_or_float(text: str) -> float | None:
     return None if text.lower() in ("", "none") else _finite_float(text)
 
 
-# Value parsers for key=value files, by dataclass field annotation. Every module here
-# postpones annotations, so a field's type is the annotation's source text.
+# Value parsers for key=value files, by __init__ parameter annotation. Every module here
+# postpones annotations, so a parameter's type is the annotation's source text.
 _FIELD_PARSERS = {"str": str, "int": _integer, "float": _finite_float,
                   "float | None": _none_or_float}
 
 
 def field_parsers(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[str], Any]]:
-    """Value parsers for the fields of dataclass `cls` not in `skip`, chosen by annotation.
+    """Value parsers for the parameters of `cls.__init__` not in `skip`, chosen by annotation.
 
     `float | None` also reads 'none' or an empty value as None.
     """
-    return {f.name: _FIELD_PARSERS[f.type] for f in fields(cls) if f.name not in skip}
+    return {name: _FIELD_PARSERS[kind] for name, kind in cls.__init__.__annotations__.items()
+            if name != "return" and name not in skip}
 
 
 _INLINE_COMMENT = re.compile(r"\s#")

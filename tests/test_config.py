@@ -1,6 +1,5 @@
 """RunConfig defaults, file parsing, and precedence."""
 
-import dataclasses
 import math
 import sys
 import threading
@@ -34,9 +33,7 @@ PRECEDENCE_CASES = [
 
 
 def test_every_field_has_a_precedence_case():
-    assert {c[0] for c in PRECEDENCE_CASES} == {
-        f.name for f in dataclasses.fields(RunConfig)
-    }
+    assert {c[0] for c in PRECEDENCE_CASES} == set(RunConfig.__match_args__)
 
 
 @pytest.mark.parametrize("field,default,file_value,override", PRECEDENCE_CASES)
@@ -192,12 +189,27 @@ class TestSharedComponents:
     def test_type_and_zero_sign_survive_a_warm_table(self):
         RunConfig(frequency_hz=1899e6, tx_power_dbm=0.0, min_success_rate=0.0)
         cfg = RunConfig(frequency_hz=1899000000, tx_power_dbm=-0.0, min_success_rate=-0.0)
-        assert type(cfg.model("fspl").frequency.hz) is int
+        assert type(cfg.model("fspl").frequency.hz) is float
         assert repr(cfg.budget().p_tx_dbm) == "-0.0"
         assert repr(cfg.thresholds().min_success_rate) == "-0.0"
         again = RunConfig(frequency_hz=1899e6, tx_power_dbm=0.0)
         assert type(again.model("fspl").frequency.hz) is float
         assert repr(again.budget().p_tx_dbm) == "0.0"
+
+    def test_an_int_and_a_float_carrier_share_what_a_fresh_build_gives(self):
+        as_int = RunConfig(frequency_hz=1884000000, tx_power_dbm=19, correction_tx_db=2)
+        as_float = RunConfig(frequency_hz=1884e6, tx_power_dbm=19.0, correction_tx_db=2.0)
+        assert as_float.budget() is as_int.budget()
+        for kind in self.CARRIER_KINDS:
+            model = as_int.model(kind)
+            assert as_float.model(kind) is model
+            fresh = PathLossModel(kind, Frequency(1884e6))
+            assert repr(model) == repr(fresh)
+            assert repr((model.intercept_db, model.slope_db_per_decade)) == repr(
+                (fresh.intercept_db, fresh.slope_db_per_decade))
+        fresh = LinkBudget(19.0, 2.0)
+        assert repr(as_int.budget()) == repr(fresh)
+        assert repr(as_int.budget().total_correction_db) == repr(fresh.total_correction_db)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"frequency_hz": math.nan}, "^frequency must"),

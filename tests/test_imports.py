@@ -21,7 +21,8 @@ SRC = str(Path(dectlink.__file__).resolve().parent.parent)
 REPORT_LOADED = (
     "import sys\n"
     "print(*sorted(m for m in sys.modules if m.startswith('dectlink.')))\n"
-    "print(*sorted(m for m in ('typing', 'pathlib') if m in sys.modules))\n"
+    "print(*sorted(m for m in ('dataclasses', 'inspect', 'pathlib', 'typing')"
+    " if m in sys.modules))\n"
 )
 # Every CLI run loads these; a subcommand adds at most the one module its handler imports.
 CLI_BASE = ["dectlink.budget", "dectlink.cli", "dectlink.config", "dectlink.propagation",
@@ -61,9 +62,11 @@ def test_planning_through_the_package_loads_only_the_planning_modules():
     (["model", "eval", "--model", "okumura-hata", "--d", "500", *HEIGHTS], [], []),
     (["model", "sweep", "--models", "all", "--start", "1", "--end", "1000", "--points", "5",
       *HEIGHTS], [], []),
-    (["fit", "--input", "points.csv", "--engine", "iterative"], ["dectlink.fitting"], []),
-    (["analyze", "site.csv", "--format", "csv"], ["dectlink.campaign"], ["typing"]),
-    (["report", *HEIGHTS], ["dectlink.fixtures"], ["pathlib"]),
+    (["fit", "--input", "points.csv", "--engine", "iterative"], ["dectlink.fitting"],
+     ["dataclasses", "inspect"]),
+    (["analyze", "site.csv", "--format", "csv"], ["dectlink.campaign"],
+     ["dataclasses", "inspect", "typing"]),
+    (["report", *HEIGHTS], ["dectlink.fixtures"], ["dataclasses", "inspect", "pathlib"]),
 ], ids=["plan", "model-eval", "model-sweep", "fit", "analyze", "report"])
 def test_each_subcommand_loads_only_its_own_modules(tmp_path, argv, adds, stdlib):
     write_capture(tmp_path, "site", synth_capture_rows(1, n=50))

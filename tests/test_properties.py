@@ -7,7 +7,6 @@ config files over random valid configurations, the components RunConfigs
 share against fresh builds, and the two fit engines over random, often
 degenerate point sets."""
 
-import dataclasses
 import io
 import math
 import re
@@ -577,15 +576,15 @@ NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
 POSITIVE_KEYS = ("frequency_hz", "bandwidth_hz", "antenna_gain")
 # Only values each component accepts: RunConfig checks every value when it is built.
 CONFIG_VALUES = {
-    f.name: (
-        st.sampled_from(CITY_SIZES) if f.name == "city_size"
-        else st.sampled_from(AREA_CLASSES) if f.name == "area_class"
-        else st.floats(0.0, 100.0) if f.name == "min_success_rate"
-        else st.one_of(st.none(), POSITIVE) if f.default is None
-        else POSITIVE if f.name in POSITIVE_KEYS
+    name: (
+        st.sampled_from(CITY_SIZES) if name == "city_size"
+        else st.sampled_from(AREA_CLASSES) if name == "area_class"
+        else st.floats(0.0, 100.0) if name == "min_success_rate"
+        else st.one_of(st.none(), POSITIVE) if getattr(RunConfig(), name) is None
+        else POSITIVE if name in POSITIVE_KEYS
         else FINITE
     )
-    for f in dataclasses.fields(RunConfig)
+    for name in RunConfig.__match_args__
 }
 UNKNOWN_NAME = st.from_regex(r"[a-z][a-z-]{0,11}", fullmatch=True).filter(
     lambda name: name not in CITY_SIZES + AREA_CLASSES)
@@ -671,7 +670,7 @@ SHARED_FIELD_VALUES = {
                      "rssi_floor_indoor_dbm", "rssi_floor_outdoor_dbm", "snr_floor_indoor_db",
                      "snr_floor_outdoor_db"), NUMBERS),
 }
-RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+RUN_DEFAULTS = {name: getattr(RunConfig(), name) for name in RunConfig.__match_args__}
 
 
 @st.composite
