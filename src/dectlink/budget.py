@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 
 from .propagation import (
-    PathLossModel, _require_choice, _require_finite, _require_positive, _setattr, _Value,
+    PathLossModel, _refused, _require_choice, _require_finite, _require_positive, _setattr,
+    _Value,
 )
 
 ENVIRONMENTS = ("indoor", "outdoor")
@@ -28,7 +29,10 @@ class ThresholdUnreachable(Exception):
 
 
 def _require_percent(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _refused(name, "in [0, 100]", value, exc) from None
     if not 0.0 <= value <= 100.0:  # NaN fails this too
         raise ValueError(f"{name} must be in [0, 100], got {value!r}")
     return value
@@ -148,7 +152,11 @@ def distance_for_path_loss(model: PathLossModel, target_pl_db: float) -> float:
     a - b == model.path_loss(0.1), exceeds the target; answers beyond 1e6 m
     are capped at exactly 1e6 m.
     """
-    target_pl_db = _require_finite("target_pl_db", target_pl_db)
+    return _distance_for(model, _require_finite("target_pl_db", target_pl_db))
+
+
+def _distance_for(model: PathLossModel, target_pl_db: float) -> float:
+    """distance_for_path_loss on a target already proved finite."""
     a, b = model.intercept_db, model.slope_db_per_decade
     pl_min = a + b * _SOLVE_LOG_D_MIN  # a - b, bit for bit path_loss(0.1)
     if pl_min > target_pl_db:
@@ -198,6 +206,5 @@ def max_link_distance(
 
     Raises ThresholdUnreachable when no distance qualifies.
     """
-    return distance_for_path_loss(
-        model, allowed_path_loss_db(budget, thresholds, environment, criterion)
-    )
+    # allowed_path_loss_db returns only a finite loss, so the target is not checked again.
+    return _distance_for(model, allowed_path_loss_db(budget, thresholds, environment, criterion))

@@ -27,15 +27,28 @@ INDOOR_DISTANCE_RANGE_M = {"inh-los": (1.0, 150.0), "inf-los": (1.0, 600.0)}
 
 
 # The package's input rules, one helper each; every module checks its inputs with these.
+def _refused(name: str, rule: str, value: object, exc: Exception) -> ValueError:
+    """The error for a value that float() refused, in the wording of the rule it fails."""
+    # An int or Fraction beyond the float range has a repr hundreds of digits long, or none.
+    got = "a value beyond the float range" if isinstance(exc, OverflowError) else repr(value)
+    return ValueError(f"{name} must be {rule}, got {got}")
+
+
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _refused(name, "finite", value, exc) from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _refused(name, "a positive finite number", value, exc) from None
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
@@ -153,13 +166,38 @@ class HataEnvironment(_Value):
 
 
 class ValidityFlag(_Value):
-    """Structured note that an evaluation sits outside a model's stated domain."""
+    """Structured note that an evaluation sits outside a model's stated domain.
 
-    __slots__ = __match_args__ = ("code", "detail")
+    ValidityFlag(code, detail) stores the detail text as given. The models
+    build their flags another way, keeping a format template and the values
+    that fill it, so detail is formatted only when it is read: evaluating
+    and planning format no text. Both forms compare, hash, repr, copy and
+    pickle over the same (code, detail) and equal each other when their
+    texts do; a copy or pickle of a model's flag holds its text.
+    """
+
+    __match_args__ = ("code", "detail")
+    # _args is None when _detail is the text; otherwise _detail is the template they fill.
+    __slots__ = ("code", "_detail", "_args")
 
     def __init__(self, code: str, detail: str) -> None:
         _setattr(self, "code", code)
-        _setattr(self, "detail", detail)
+        _setattr(self, "_detail", detail)
+        _setattr(self, "_args", None)
+
+    @classmethod
+    def _deferred(cls, code: str, template: str, args: tuple) -> "ValidityFlag":
+        """The flag whose detail is template.format(*args), formatted when it is read."""
+        flag = object.__new__(cls)
+        _setattr(flag, "code", code)
+        _setattr(flag, "_detail", template)
+        _setattr(flag, "_args", args)
+        return flag
+
+    @property
+    def detail(self) -> str:
+        args = self._args
+        return self._detail if args is None else self._detail.format(*args)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
@@ -312,15 +350,14 @@ _LAW_BUILDERS = {
 }
 MODEL_KINDS = tuple(_LAW_BUILDERS)
 
-# kind -> (flag code, low, high, unit in m, detail given the value) of its stated distance
-# range, bounds in the unit; a two-ray model's range starts at its crossover, FSPL has none.
+# kind -> (flag code, low, high, unit in m, detail template) of its stated distance range,
+# bounds in the unit; a two-ray model's range starts at its crossover, FSPL has none. Each
+# template is filled with (distance in the unit, low, high) when a flag's detail is read.
 _DISTANCE_RULES = {
-    **{kind: ("distance-out-of-range", lo, hi, 1.0,
-              "{{:.2f}} m outside {:.0f}-{:.0f} m".format(lo, hi))
+    **{kind: ("distance-out-of-range", lo, hi, 1.0, "{:.2f} m outside {:.0f}-{:.0f} m")
        for kind, (lo, hi) in INDOOR_DISTANCE_RANGE_M.items()},
-    **dict.fromkeys(HATA_KINDS, (
-        "distance-out-of-range", *HATA_DISTANCE_RANGE_KM, 1e3,
-        "{{:.3f}} km outside {:.0f}-{:.0f} km".format(*HATA_DISTANCE_RANGE_KM))),
+    **dict.fromkeys(HATA_KINDS, ("distance-out-of-range", *HATA_DISTANCE_RANGE_KM, 1e3,
+                                 "{:.3f} km outside {:.0f}-{:.0f} km")),
 }
 
 
@@ -335,6 +372,10 @@ class PathLossModel(_Value):
     the stated ranges that do not depend on distance and the distance range.
     It fails unless the slope is positive, so PL strictly increases with
     distance, and unless a two-ray crossover distance is finite.
+
+    Neither construction nor flags formats text: each flag keeps its detail
+    template and the values that fill it (the value found outside its range
+    and the range's bounds), and formats the detail only when it is read.
 
     Values are immutable after construction; evaluation is a pure function
     of (model, distance), safe for concurrent use.
@@ -370,21 +411,21 @@ class PathLossModel(_Value):
         if kind == "two-ray":
             crossover = _require_finite(
                 "two-ray crossover distance", two_ray_crossover_m(geometry, frequency.hz))
-            detail = "distance {{:.2f}} m below two-ray crossover {:.2f} m".format(crossover)
-            distance_rule = ("near-field", crossover, math.inf, 1.0, detail)
+            distance_rule = ("near-field", crossover, math.inf, 1.0,
+                             "distance {:.2f} m below two-ray crossover {:.2f} m")
         elif kind in HATA_KINDS:
-            f_range_mhz = (OKUMURA_HATA_FREQ_RANGE_MHZ if kind == "okumura-hata"
-                           else COST231_FREQ_RANGE_MHZ)
-            # (flag code, value, (low, high), detail given value, low, high)
-            fixed = (
-                ("frequency-out-of-range", frequency.mhz, f_range_mhz,
-                 "{:.3f} MHz outside {:.0f}-{:.0f} MHz"),
-                ("tx-height-out-of-range", geometry.h_tx_m, HATA_TX_HEIGHT_RANGE_M,
-                 "h_tx {:.2f} m outside {:.0f}-{:.0f} m"),
-            )
-            fixed_flags = tuple(ValidityFlag(code, detail.format(value, lo, hi))
-                                for code, value, (lo, hi), detail in fixed
-                                if not lo <= value <= hi)
+            f_mhz, h_tx = frequency.mhz, geometry.h_tx_m
+            lo, hi = (OKUMURA_HATA_FREQ_RANGE_MHZ if kind == "okumura-hata"
+                      else COST231_FREQ_RANGE_MHZ)
+            if not lo <= f_mhz <= hi:
+                fixed_flags = (ValidityFlag._deferred(
+                    "frequency-out-of-range", "{:.3f} MHz outside {:.0f}-{:.0f} MHz",
+                    (f_mhz, lo, hi)),)
+            lo, hi = HATA_TX_HEIGHT_RANGE_M
+            if not lo <= h_tx <= hi:
+                fixed_flags += (ValidityFlag._deferred(
+                    "tx-height-out-of-range", "h_tx {:.2f} m outside {:.0f}-{:.0f} m",
+                    (h_tx, lo, hi)),)
         _setattr(self, "intercept_db", intercept)
         _setattr(self, "slope_db_per_decade", slope)
         _setattr(self, "_distance_rule", distance_rule)
@@ -404,11 +445,11 @@ class PathLossModel(_Value):
         d_m = _require_positive("distance", d_m)
         if self._distance_rule is None:
             return ()
-        code, lo, hi, unit_m, detail = self._distance_rule
+        code, lo, hi, unit_m, template = self._distance_rule
         value = d_m / unit_m
         if lo <= value <= hi:
             return self._fixed_flags
-        return (*self._fixed_flags, ValidityFlag(code, detail.format(value)))
+        return (*self._fixed_flags, ValidityFlag._deferred(code, template, (value, lo, hi)))
 
 
 def evaluate_sweep(

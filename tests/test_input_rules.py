@@ -2,7 +2,7 @@
 
 import pytest
 
-from dectlink.budget import LinkBudget
+from dectlink.budget import LinkBudget, ReliabilityThresholds
 from dectlink.campaign import CaptureColumns, LocationCapture
 from dectlink.config import RunConfig
 from dectlink.fitting import fit_log_distance
@@ -46,6 +46,16 @@ CASES = {
         lambda: PathLossModel("cost231-hata", Frequency(5e-324), AntennaGeometry(30.0, 1.5),
                               HataEnvironment()),
         "frequency 5e-324 Hz underflows to 0 MHz"),
+    # Values that float() refuses, by overflow or by type.
+    "finite-beyond-float-range": (lambda: LinkBudget(p_tx_dbm=10**400),
+                                  "p_tx_dbm must be finite, got a value beyond the float range"),
+    "positive-beyond-float-range": (
+        lambda: RunConfig(frequency_hz=10**400),
+        "frequency must be a positive finite number, got a value beyond the float range"),
+    "positive-none": (lambda: RunConfig(antenna_gain=None),
+                      "antenna_gain must be a positive finite number, got None"),
+    "percent-none": (lambda: ReliabilityThresholds(min_success_rate=None),
+                     "min_success_rate must be in [0, 100], got None"),
 }
 
 

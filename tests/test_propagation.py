@@ -2,9 +2,11 @@
 
 import math
 import random
+import sys
 
 import pytest
 
+from dectlink.budget import ENVIRONMENTS, max_link_distance
 from dectlink.config import RunConfig
 from dectlink.propagation import (
     GEOMETRY_KINDS,
@@ -303,6 +305,46 @@ class TestPathLossModel:
         assert {f.code for f in model.flags(5000.0)} == set()
         low = PathLossModel("cost231-hata", Frequency(450e6), AntennaGeometry(50.0, 1.5), URBAN)
         assert {f.code for f in low.flags(5000.0)} == {"frequency-out-of-range"}
+
+    def test_planning_formats_no_flag_text_until_a_detail_is_read(self):
+        formats = []
+
+        def count_str_format(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "format" and isinstance(arg.__self__, str):
+                formats.append(arg.__self__)
+
+        def profiled(work):
+            formats.clear()
+            before = sys.getprofile()
+            sys.setprofile(count_str_format)
+            try:
+                return work()
+            finally:
+                sys.setprofile(before)
+
+        def plan():
+            # 1899 MHz and a 10 m mast are outside the Okumura-Hata ranges, 0.5 m is below
+            # every distance range and 100 km above the bounded ones: every flag code is made.
+            cfg = RunConfig(frequency_hz=F_CAMPAIGN, h_tx_m=10.0, h_rx_m=1.5)
+            flags = []
+            for kind in MODEL_KINDS:
+                model = cfg.model(kind)
+                for environment in ENVIRONMENTS:
+                    for criterion in ("rssi", "snr"):
+                        max_link_distance(cfg.budget(), model, cfg.thresholds(), environment,
+                                          criterion)
+                flags += (*model.flags(0.5), *model.flags(1e5))
+            return flags
+
+        flags = profiled(plan)
+        assert formats == []
+        assert {flag.code for flag in flags} == {
+            "near-field", "frequency-out-of-range", "tx-height-out-of-range",
+            "distance-out-of-range",
+        }
+        details = profiled(lambda: [flag.detail for flag in flags])
+        assert len(formats) >= 1
+        assert "1899.000 MHz outside 150-1500 MHz" in details
 
 
 class TestEvaluateSweep:

@@ -18,12 +18,22 @@ from dectlink.propagation import (
     MODEL_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel, ValidityFlag,
 )
 
-# Class name -> (a builder of one value, the derived attributes it stores beside its fields).
+
+def hata_frequency_flag() -> ValidityFlag:
+    """The first of a Hata model's fixed flags, which formats its detail when it is read."""
+    model = PathLossModel("okumura-hata", Frequency(1899e6), AntennaGeometry(10.0, 1.5),
+                          HataEnvironment())
+    return model.flags(5000.0)[0]
+
+
+# Class name, then what sets the value apart when a class has two ->
+# (a builder of one value, the derived attributes it stores beside its fields).
 VALUES = {
     "Frequency": (lambda: Frequency(1899e6), ()),
     "AntennaGeometry": (lambda: AntennaGeometry(30.0, 1.5, 2.0), ()),
     "HataEnvironment": (lambda: HataEnvironment("large", "suburban-open"), ()),
     "ValidityFlag": (lambda: ValidityFlag("near-field", "distance 1.00 m below 2.00 m"), ()),
+    "ValidityFlag of a Hata model": (hata_frequency_flag, ()),
     "PathLossModel": (
         lambda: PathLossModel("okumura-hata", Frequency(1899e6), AntennaGeometry(10.0, 1.5),
                               HataEnvironment()),
@@ -89,7 +99,7 @@ def test_repr_names_the_fields_alone_in_order(name):
     build, _ = VALUES[name]
     value = build()
     shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in type(value).__match_args__)
-    assert repr(value) == f"{name}({shown})"
+    assert repr(value) == f"{name.split()[0]}({shown})"
 
 
 @CLASSES
@@ -126,6 +136,17 @@ def test_copies_and_pickles_are_equal_with_the_same_derived_values(name, duplica
     assert repr(fields_of(twin)) == repr(fields_of(value))
     for attr in derived:
         assert repr(getattr(twin, attr)) == repr(getattr(value, attr)), attr
+
+
+def test_a_model_flag_is_the_flag_built_from_its_text():
+    flag = hata_frequency_flag()
+    text = ValidityFlag("frequency-out-of-range", "1899.000 MHz outside 150-1500 MHz")
+    for twin in (flag, copy.deepcopy(flag), pickle.loads(pickle.dumps(flag))):
+        assert twin == text and text == twin and not twin != text
+        assert hash(twin) == hash(text)
+        assert repr(twin) == repr(text)
+        assert str(twin) == str(text) == "frequency-out-of-range: " + text.detail
+        assert twin.detail == text.detail
 
 
 class TestStorage:
