@@ -9,7 +9,7 @@ reads them; DECTLINK_CONFIG names a default file path.
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 
 from .budget import LinkBudget, ReliabilityThresholds
@@ -30,41 +30,16 @@ CONFIG_ENV_VAR = "DECTLINK_CONFIG"
 # Models that need nothing but the carrier, so every config on one carrier can share them.
 _CARRIER_KINDS = tuple(kind for kind in MODEL_KINDS if kind not in GEOMETRY_KINDS)
 
-# The run-level components shared between RunConfigs: one table per builder, keyed by
-# the input values and the sign of each zero. Every component stores the floats its
-# checks return, so equal inputs of two types (1899e6 and 1899000000) build equal
-# components and may share, while -0.0 and 0.0 never do. Only a value that passed its
-# checks is stored, and a table is cleared when it holds _SHARED_BOUND entries. Without
-# a lock, concurrent misses may build one value twice; every value is frozen and equal
-# to a fresh build, so nothing is lost.
-_SHARED_BOUND = 16
-_KEYED_TYPES = frozenset((float, int, str))
 
-
+@functools.lru_cache(maxsize=16)
 def _carrier(frequency_hz: float) -> tuple[Frequency, dict[str, PathLossModel]]:
-    """A carrier's Frequency and its carrier-only models by kind, filled in as asked for."""
+    """A carrier's Frequency and its carrier-only models by kind, filled in as asked for.
+
+    Shared by every RunConfig on the carrier. The key is the float the frequency's check
+    returns, so 1899e6 and 1899000000 share, and it is positive, so it has no zero sign.
+    Concurrent misses may build a carrier twice; each build equals a fresh one.
+    """
     return Frequency(frequency_hz), {}
-
-
-_SHARED: dict[Any, dict[tuple, Any]] = {
-    build: {} for build in (_carrier, LinkBudget, ReliabilityThresholds, HataEnvironment)
-}
-
-
-def _shared(build: Any, *args: Any) -> Any:
-    """build(*args), or the value an earlier call on equal inputs with equal zero signs built."""
-    if not _KEYED_TYPES.issuperset(map(type, args)):
-        return build(*args)  # a value of another type may not key exactly; build it afresh
-    signs = tuple([math.copysign(1.0, a) for a in args if a == 0]) if 0 in args else ()
-    key = (args, signs)
-    table = _SHARED[build]
-    value = table.get(key)
-    if value is None:
-        value = build(*args)
-        if len(table) >= _SHARED_BOUND:
-            table.clear()
-        table[key] = value
-    return value
 
 
 def _defaults(cls: type) -> dict[str, Any]:
@@ -86,12 +61,11 @@ class RunConfig(_Value):
     Construction checks every value, stores the float each check returns
     and builds each component once.
 
-    The run-level components, the carrier's Frequency, the LinkBudget, the
-    ReliabilityThresholds and the HataEnvironment, are shared with every
-    RunConfig built on equal inputs: each is keyed by its input values,
-    with -0.0 apart from 0.0, in a table per component that is cleared when
-    it holds 16 entries. The antenna geometry depends on the heights and
-    stays each config's own, as do the models built on it (see model).
+    Only the carrier is shared: every RunConfig on one frequency gets the
+    same Frequency and carrier-only models from a cache of the 16 carriers
+    used last. The LinkBudget, ReliabilityThresholds, HataEnvironment and
+    antenna geometry are each config's own, as are the models built on the
+    geometry (see model).
     """
 
     __match_args__ = (
@@ -122,14 +96,14 @@ class RunConfig(_Value):
         city_size: str = _ENVIRONMENT["city_size"],
         area_class: str = _ENVIRONMENT["area_class"],
     ) -> None:
-        # Each component is built or shared once, in field order, so the first bad field is
-        # reported; each height is checked when set, the gain always. A shared component takes
-        # its fields positionally, in declaration order.
-        frequency, carrier_models = _shared(_carrier, frequency_hz)
-        budget = _shared(LinkBudget, tx_power_dbm, correction_tx_db, correction_rx_db,
-                         bandwidth_hz, noise_figure_db)
-        thresholds = _shared(ReliabilityThresholds, min_success_rate, rssi_floor_indoor_dbm,
-                             rssi_floor_outdoor_dbm, snr_floor_indoor_db, snr_floor_outdoor_db)
+        # Each component is built once, in field order, so the first bad field is reported;
+        # each height is checked when set, the gain always.
+        frequency, carrier_models = _carrier(_require_positive("frequency", frequency_hz))
+        budget = LinkBudget(tx_power_dbm, correction_tx_db, correction_rx_db, bandwidth_hz,
+                            noise_figure_db)
+        thresholds = ReliabilityThresholds(min_success_rate, rssi_floor_indoor_dbm,
+                                           rssi_floor_outdoor_dbm, snr_floor_indoor_db,
+                                           snr_floor_outdoor_db)
         if h_tx_m is not None:
             h_tx_m = _require_positive("h_tx_m", h_tx_m)
         if h_rx_m is not None:
@@ -137,7 +111,7 @@ class RunConfig(_Value):
         gain = _require_positive("antenna_gain", antenna_gain)
         geometry = (None if h_tx_m is None or h_rx_m is None
                     else AntennaGeometry(h_tx_m, h_rx_m, gain))
-        environment = _shared(HataEnvironment, city_size, area_class)
+        environment = HataEnvironment(city_size, area_class)
         # In __slots__ order: each field as its component stored it, then the components.
         values = (
             frequency.hz, budget.bandwidth_hz, budget.p_tx_dbm, budget.side_correction_tx_db,

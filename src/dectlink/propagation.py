@@ -10,6 +10,7 @@ have to.
 from __future__ import annotations
 
 import math
+import operator
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -113,7 +114,7 @@ class Frequency(_Value):
 
     @classmethod
     def from_mhz(cls, mhz: float) -> "Frequency":
-        return cls(float(mhz) * 1e6)
+        return cls(_require_positive("mhz", mhz) * 1e6)
 
     @property
     def mhz(self) -> float:
@@ -469,11 +470,14 @@ def evaluate_sweep(
     d_end_m = _require_positive("d_end", d_end_m)
     if d_start_m >= d_end_m:
         raise ValueError(f"d_start ({d_start_m}) must be below d_end ({d_end_m})")
-    if points < 2:
+    try:
+        last = operator.index(points) - 1
+    except TypeError:
+        raise ValueError(f"points must be an integer, got {points!r}") from None
+    if last < 1:
         raise ValueError(f"points must be >= 2, got {points}")
     _require_choice("spacing", spacing, ("linear", "log"))
 
-    last = points - 1
     try:
         if spacing == "linear":
             span = d_end_m - d_start_m

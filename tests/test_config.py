@@ -162,11 +162,8 @@ class TestHelpers:
         assert CONFIG_ENV_VAR == "DECTLINK_CONFIG"
 
 
-def shared_tables():
-    """A copy of every shared table, with each carrier's models as they stand."""
-    return {build: {key: (value, dict(value[1])) if build is config._carrier else value
-                    for key, value in table.items()}
-            for build, table in config._SHARED.items()}
+def carrier_cache_size():
+    return config._carrier.cache_info().currsize
 
 
 class TestSharedComponents:
@@ -199,7 +196,8 @@ class TestSharedComponents:
     def test_an_int_and_a_float_carrier_share_what_a_fresh_build_gives(self):
         as_int = RunConfig(frequency_hz=1884000000, tx_power_dbm=19, correction_tx_db=2)
         as_float = RunConfig(frequency_hz=1884e6, tx_power_dbm=19.0, correction_tx_db=2.0)
-        assert as_float.budget() is as_int.budget()
+        # Only the carrier is shared; each config builds its own budget.
+        assert as_float.budget() is not as_int.budget()
         for kind in self.CARRIER_KINDS:
             model = as_int.model(kind)
             assert as_float.model(kind) is model
@@ -223,27 +221,31 @@ class TestSharedComponents:
         ({"area_class": "rural"}, "^area_class must"),
     ])
     def test_a_bad_value_raises_on_every_call_and_is_never_stored(self, overrides, message):
+        config._carrier.cache_clear()  # room to store a carrier, so a stored one would show
         RunConfig()
-        before = shared_tables()
+        before = carrier_cache_size()
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
                 RunConfig(**overrides)
-        assert shared_tables() == before
+        assert carrier_cache_size() == before
 
     def test_a_kind_that_fails_raises_on_every_call_and_is_never_stored(self):
+        config._carrier.cache_clear()
         cfg, subnormal = RunConfig(), RunConfig(frequency_hz=1e-320)
-        before = shared_tables()
+        before = carrier_cache_size()
         for _ in range(2):
             with pytest.raises(ValueError, match="model kind must be one of"):
                 cfg.model("ray-tracing")
             with pytest.raises(ValueError, match="underflows to 0 GHz"):
                 subnormal.model("inh-los")
-        assert shared_tables() == before
+        assert carrier_cache_size() == before
+        assert cfg._carrier_models == subnormal._carrier_models == {}
 
-    def test_tables_hold_at_most_their_bound(self):
+    def test_the_carrier_cache_holds_at_most_its_maxsize(self):
         for i in range(10_000):
-            RunConfig(frequency_hz=1e9 + i, tx_power_dbm=float(i), snr_floor_indoor_db=i / 8)
-        assert all(len(table) <= config._SHARED_BOUND for table in config._SHARED.values())
+            RunConfig(frequency_hz=1e9 + i)
+        info = config._carrier.cache_info()
+        assert info.maxsize == 16 and info.currsize <= info.maxsize
 
     def test_threads_sharing_the_tables_each_get_their_own_carrier(self):
         def plan(offset, found):

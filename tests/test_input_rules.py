@@ -32,6 +32,8 @@ CASES = {
                        "city_size must be one of ('small-medium', 'large'), got 'x'"),
     "sweep-spacing": (lambda: evaluate_sweep(PathLossModel("fspl", F), 1, 10, 3, spacing="x"),
                       "spacing must be one of ('linear', 'log'), got 'x'"),
+    "sweep-points": (lambda: evaluate_sweep(PathLossModel("fspl", F), 1, 10, 3.0),
+                     "points must be an integer, got 3.0"),
     "model-kind": (lambda: PathLossModel("x", F),
                    f"model kind must be one of {MODEL_KINDS}, got 'x'"),
     "model-heights": (lambda: PathLossModel("two-ray", F), NO_HEIGHTS),
@@ -56,6 +58,12 @@ CASES = {
                       "antenna_gain must be a positive finite number, got None"),
     "percent-none": (lambda: ReliabilityThresholds(min_success_rate=None),
                      "min_success_rate must be in [0, 100], got None"),
+    "mhz-none": (lambda: Frequency.from_mhz(None),
+                 "mhz must be a positive finite number, got None"),
+    "mhz-beyond-float-range": (
+        lambda: Frequency.from_mhz(10**400),
+        "mhz must be a positive finite number, got a value beyond the float range"),
+    "mhz-text": (lambda: Frequency.from_mhz("x"), "mhz must be a positive finite number, got 'x'"),
 }
 
 

@@ -658,8 +658,8 @@ def test_one_out_of_rule_value_fails_to_load(config_path, config_and_text, name,
 
 NUMBERS = st.one_of(st.floats(-200.0, 200.0), st.integers(-200, 200), EXTREME_VALUES,
                     st.sampled_from((0.0, -0.0)))
-# The run-level fields a RunConfig shares by value: ordinary values, ints, both zeros and
-# extremes, some of which each component refuses.
+# The run-level fields a RunConfig builds its components from: ordinary values, ints, both
+# zeros and extremes, some of which each component refuses.
 SHARED_FIELD_VALUES = {
     "frequency_hz": st.one_of(log_uniform(1e6, 1e11), st.integers(10**6, 10**11), NUMBERS),
     "bandwidth_hz": st.one_of(log_uniform(1e3, 1e8), st.integers(1, 10**8), NUMBERS),
@@ -715,8 +715,9 @@ def fingerprint(build):
 @example({**RUN_DEFAULTS, "h_tx_m": 10.0, "h_rx_m": 1.5, "antenna_gain": 1.0,
           "tx_power_dbm": -0.0, "frequency_hz": 1899000000})
 def test_shared_components_equal_fresh_ones_bit_for_bit(values):
-    """Built on tables warmed by an equal config of other types and zero signs, each shared
-    component and model is the one a fresh build gives, and is shared with the next config."""
+    """Built after an equal config of other types and zero signs, each model is the one a
+    fresh build gives, and a carrier-only model is shared with the next config on the
+    carrier; the budget, thresholds and environment are each config's own, zero signs too."""
     v = values
     fresh = {
         "budget": lambda: LinkBudget(v["tx_power_dbm"], v["correction_tx_db"],
@@ -725,6 +726,7 @@ def test_shared_components_equal_fresh_ones_bit_for_bit(values):
         "thresholds": lambda: ReliabilityThresholds(
             v["min_success_rate"], v["rssi_floor_indoor_dbm"], v["rssi_floor_outdoor_dbm"],
             v["snr_floor_indoor_db"], v["snr_floor_outdoor_db"]),
+        "environment": lambda: HataEnvironment(v["city_size"], v["area_class"]),
         # The geometry is each config's own, so a geometry kind is built on the config's.
         **{kind: lambda kind=kind: PathLossModel(
             kind, Frequency(v["frequency_hz"]), cfg.geometry() if kind in GEOMETRY_KINDS else None,
@@ -745,8 +747,13 @@ def test_shared_components_equal_fresh_ones_bit_for_bit(values):
             RunConfig(**values)
         return
     cfg = RunConfig(**values)
-    assert cfg.budget() is first.budget() and cfg.thresholds() is first.thresholds()
+    assert cfg.budget() is not first.budget() and cfg.thresholds() is not first.thresholds()
+    assert cfg._environment is not first._environment
+    for kind in MODEL_KINDS:
+        with suppress(ValueError):  # a carrier that underflows in the kind's unit builds none
+            assert kind in GEOMETRY_KINDS or cfg.model(kind) is first.model(kind), kind
     shown = {"budget": cfg.budget, "thresholds": cfg.thresholds,
+             "environment": lambda: cfg._environment,
              **{kind: lambda kind=kind: cfg.model(kind) for kind in MODEL_KINDS}}
     for name, build in fresh.items():
         assert fingerprint(shown[name]) == fingerprint(build), name
