@@ -13,6 +13,13 @@ rows column by column (`CaptureColumns`) and checks and summarises whole
 columns; `zip(*capture.columns)` iterates the rows as tuples. RSSI values
 above 10 dBm are taken for logging glitches and raise one warning per
 capture, giving its location id, their count and the first seq.
+
+Logged values repeat, so `summarize` reads each RSSI and SNR column as a
+tally: its distinct values and the count of rows holding each. A loaded
+capture gets the tallies its parse counted; one built directly counts its
+columns on first use. Each power and squared deviation is computed once per
+distinct value, and each sum is a `math.fsum` over every row's term, so the
+summary has the bits a row-by-row computation gives.
 """
 
 from __future__ import annotations
@@ -21,19 +28,25 @@ import math
 import os
 import re
 import warnings
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import chain, compress
+from operator import mul
 from typing import NamedTuple
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
 from .propagation import _require_finite, _require_positive
-from .tabular import field_parsers, float_column, int_column, parse_key_values, read_table
+from .tabular import counted_float_column, field_parsers, int_column, parse_key_values, read_table
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
     from pathlib import Path
     from typing import Any
+
+    # A column's tally: values, and the number of samples each stands for.
+    Tally = tuple[list[float], list[int]]
 
 _ENVIRONMENT_RE = re.compile(r"^(los|nlos)-(indoor|outdoor)$")
 
@@ -49,38 +62,72 @@ def mean_power_db(values_db: Sequence[float]) -> float:
     """
     if len(values_db) == 0:
         raise ValueError("mean_power_db needs at least one value")
-    if not all(map(math.isfinite, values_db)):
-        bad = next(v for v in values_db if not math.isfinite(v))
-        raise ValueError(f"mean_power_db got a non-finite value: {bad!r}")
-    try:
-        mean = math.fsum([10.0 ** (v / 10.0) for v in values_db]) / len(values_db)
-    except OverflowError:
-        raise ValueError(
-            f"mean_power_db: {max(values_db)!r} dB overflows the linear domain"
-        ) from None
-    if mean == 0.0:
-        raise ValueError(
-            f"mean_power_db: every value underflows to 0 in the linear domain, "
-            f"the largest being {max(values_db)!r} dB"
-        )
-    return 10.0 * math.log10(mean)
+    return _mean_power_db(values_db, [1] * len(values_db))
 
 
 def sample_std_db(values_db: Sequence[float]) -> float:
     """Sample standard deviation (ddof=1) in the dB domain; 0.0 below two samples."""
-    n = len(values_db)
+    return _sample_std_db(values_db, [1] * len(values_db), values_db)
+
+
+# The statistics below read a tally: values, each standing for its count of samples,
+# in the order the samples first give them. They compute each term once per value and
+# sum the terms with _counted_fsum. fsum is correctly rounded, so the order of its terms
+# changes no bit, and the terms are not negative, so whether a sum overflows does not
+# depend on the order either. The min, max and first bad value of the values, in their
+# order, are those of the samples.
+def _counted_fsum(terms: list[float], counts: Sequence[int]) -> float:
+    """math.fsum of each term repeated its count times."""
+    # Gather the terms of each count in one list, which repeats itself in one step.
+    by_count: defaultdict[int, list[float]] = defaultdict(list)
+    for term, count in zip(terms, counts):
+        by_count[count].append(term)
+    return math.fsum(chain.from_iterable(map(mul, by_count.values(), by_count)))
+
+
+def _mean_power_db(values: Sequence[float], counts: Sequence[int]) -> float:
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"mean_power_db got a non-finite value: {bad!r}")
+    try:
+        mean = _counted_fsum([10.0 ** (v / 10.0) for v in values], counts) / sum(counts)
+    except OverflowError:
+        raise ValueError(
+            f"mean_power_db: {max(values)!r} dB overflows the linear domain"
+        ) from None
+    if mean == 0.0:
+        raise ValueError(
+            f"mean_power_db: every value underflows to 0 in the linear domain, "
+            f"the largest being {max(values)!r} dB"
+        )
+    return 10.0 * math.log10(mean)
+
+
+def _sample_std_db(values: Sequence[float], counts: Sequence[int],
+                   samples: Iterable[float]) -> float:
+    """sample_std_db of the samples; they may leave out the zeros."""
+    n = sum(counts)
     if n < 2:
         return 0.0
     try:
-        mean = math.fsum(values_db) / n
-        std = math.sqrt(math.fsum([(v - mean) ** 2 for v in values_db]) / (n - 1))
+        # The dB values have mixed signs, so whether their sum overflows depends on the
+        # order: sum the samples themselves. fsum skips zeros, so they may be left out.
+        mean = math.fsum(samples) / n
+        std = math.sqrt(_counted_fsum([(v - mean) ** 2 for v in values], counts) / (n - 1))
     except OverflowError:
         std = math.inf
     if not math.isfinite(std):
         raise ValueError(
-            f"sample_std_db: {max(values_db, key=abs)!r} dB overflows the squared deviations"
+            f"sample_std_db: {max(values, key=abs)!r} dB overflows the squared deviations"
         )
     return std
+
+
+def _count_values(column: Iterable[float | None]) -> Tally:
+    """A column's tally: its distinct values, in first-appearance order, and their counts."""
+    counts = Counter(column)
+    counts.pop(None, None)
+    return list(counts), list(counts.values())
 
 
 class CaptureColumns(NamedTuple):
@@ -155,6 +202,13 @@ class LocationCapture:
                 stacklevel=3,
             )
 
+    @cached_property
+    def _tallies(self) -> tuple[Tally, Tally, Tally]:
+        """The tallies of the PCC RSSI, PDC RSSI and SNR columns; load_capture seeds them."""
+        columns = self.columns
+        return (_count_values(columns.pcc_rssi_dbm), _count_values(columns.pdc_rssi_dbm),
+                _count_values(columns.snr_db))
+
     @property
     def propagation(self) -> str:
         return self.environment.split("-")[0]
@@ -223,14 +277,11 @@ def summarize(
     so captures at different power settings summarize correctly against one
     shared correction budget.
     """
-    columns = capture.columns
-    pcc_rssi = [v for v in columns.pcc_rssi_dbm if v is not None]
-    pdc_rssi = [v for v in columns.pdc_rssi_dbm if v is not None]
-    snr = [v for v in columns.snr_db if v is not None]
+    (pcc, pcc_counts), pdc, snr = capture._tallies
 
-    mean_pcc = mean_power_db(pcc_rssi) if pcc_rssi else None
-    mean_pdc = mean_power_db(pdc_rssi) if pdc_rssi else None
-    mean_snr = mean_power_db(snr) if snr else None
+    mean_pcc = _mean_power_db(pcc, pcc_counts) if pcc else None
+    mean_pdc = _mean_power_db(*pdc) if pdc[0] else None
+    mean_snr = _mean_power_db(*snr) if snr[0] else None
 
     sr_pcc = success_rate_pcc(capture)
     sr_pdc = success_rate_pdc(capture)
@@ -246,9 +297,11 @@ def summarize(
         sr_pdc_pct=sr_pdc,
         mean_pcc_rssi_dbm=mean_pcc,
         mean_pdc_rssi_dbm=mean_pdc,
-        std_pcc_rssi_db=sample_std_db(pcc_rssi),
-        min_pcc_rssi_dbm=min(pcc_rssi) if pcc_rssi else None,
-        max_pcc_rssi_dbm=max(pcc_rssi) if pcc_rssi else None,
+        # filter(None, ...) drops the Nones, and zeros, which fsum skips anyway.
+        std_pcc_rssi_db=_sample_std_db(pcc, pcc_counts,
+                                       filter(None, capture.columns.pcc_rssi_dbm)),
+        min_pcc_rssi_dbm=min(pcc) if pcc else None,
+        max_pcc_rssi_dbm=max(pcc) if pcc else None,
         mean_snr_db=mean_snr,
         empirical_pl_pcc_db=(
             empirical_pl(capture.p_tx_dbm, mean_pcc, budget) if mean_pcc is not None else None
@@ -336,17 +389,23 @@ def load_capture(csv_path: str | Path) -> LocationCapture:
     """
     meta = read_capture_meta(os.path.splitext(csv_path)[0] + ".meta")
     numbers, cells = read_table(csv_path, CAPTURE_HEADER)
+    seq = tuple(int_column(cells[0], numbers, "seq"))
+    floats, tallies = zip(*(counted_float_column(cells[i], numbers, CAPTURE_HEADER[i],
+                                                 optional=True) for i in (1, 2, 3)))
     columns = CaptureColumns(
-        tuple(int_column(cells[0], numbers, "seq")),
-        *(tuple(float_column(cells[i], numbers, CAPTURE_HEADER[i], optional=True))
-          for i in (1, 2, 3)),
+        seq,
+        *map(tuple, floats),
         *(_flag_column(cells[i], numbers, CAPTURE_HEADER[i]) for i in (4, 5)),
     )
-    # Free the cell text before the checks allocate: held, it lifts a load's peak RSS.
-    del cells
+    # Free the cell text and parsed lists before the checks allocate: held, they lift a
+    # load's peak RSS.
+    del cells, floats
     try:
-        return LocationCapture(**meta, columns=columns)
+        capture = LocationCapture(**meta, columns=columns)
     except ValueError:
         # The constructor checks the row rules by row index; name the file line instead.
         _check_rows(columns, numbers, "line {}")
         raise
+    # The parse counted each column's values: seed the capture's cached tallies with them.
+    vars(capture)["_tallies"] = tallies
+    return capture

@@ -114,7 +114,11 @@ class Frequency(_Value):
 
     @classmethod
     def from_mhz(cls, mhz: float) -> "Frequency":
-        return cls(_require_positive("mhz", mhz) * 1e6)
+        mhz = _require_positive("mhz", mhz)
+        hz = mhz * 1e6
+        if hz == math.inf:
+            raise ValueError(f"mhz {mhz!r} MHz overflows to inf Hz")
+        return cls(hz)
 
     @property
     def mhz(self) -> float:

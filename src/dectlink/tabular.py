@@ -8,6 +8,8 @@ numbers, which error messages cite. A body with no quote, '#' or blank line and
 a full row on every line is split at its commas in one pass; any other goes
 through csv.reader, so quoted cells keep their commas. Column parsers parse
 each distinct cell once and scan for the first bad cell only when that fails.
+counted_float_column also returns how many cells hold each distinct text, so
+a caller can summarise a column per distinct value, not per row.
 Files are UTF-8, a byte-order mark ignored. In a key=value file (run configs,
 capture sidecars) a '#' after a blank also starts a comment; a '#' glued to a
 value is part of it.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from itertools import repeat
 
 TYPE_CHECKING = False
@@ -88,17 +91,36 @@ def float_column(
     ValueError names the line of the first cell that is not a number, is not
     finite, or (without optional) is empty.
     """
+    return counted_float_column(cells, numbers, name, optional)[0]
+
+
+def counted_float_column(
+    cells: list[str], numbers: Sequence[int], name: str, optional: bool = False
+) -> tuple[list[float | None], tuple[list[float], list[int]]]:
+    """float_column, plus the column's tally: the value and count of each distinct cell.
+
+    The tally lists the non-empty distinct cells in the order they first
+    appear. Two spellings of one value (-80, -80.0, -8e1) are two cells, so
+    a value may appear more than once, but the tally still holds each cell's
+    value as often as the column does.
+    """
     try:
         # Measured values repeat, so each distinct text is parsed once.
-        parsed = {cell: float(cell) if cell or not optional else None for cell in set(cells)}
-        if all(map(math.isfinite, filter(None, parsed.values()))):
-            return list(map(parsed.__getitem__, cells))
+        counts = Counter(cells)
+        empty = optional and counts.pop("", 0)
+        parsed = {cell: float(cell) for cell in counts}
+        values = list(parsed.values())
+        if all(map(math.isfinite, values)):
+            if empty:
+                parsed[""] = None
+            return list(map(parsed.__getitem__, cells)), (values, list(counts.values()))
     except ValueError:
         pass
-    return [
-        None if optional and not cell else _cell(_finite_float, cell, line_no, name)
-        for line_no, cell in zip(numbers, cells)
-    ]
+    # Some cell is bad: parse cell by cell, so the error names the first.
+    for line_no, cell in zip(numbers, cells):
+        if cell or not optional:
+            _cell(_finite_float, cell, line_no, name)
+    raise AssertionError(f"column {name!r} failed to parse, yet no cell is bad")
 
 
 def _cell(parse: Callable[[str], Any], cell: str, line_no: int, name: str) -> Any:

@@ -1,13 +1,16 @@
 """Capture parsing, linear-domain statistics, and per-location summaries."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import re
 import warnings
 
 import pytest
 
+from dectlink import campaign
 from dectlink.budget import LinkBudget, ReliabilityThresholds
 from dectlink.campaign import (
     CaptureColumns,
@@ -419,6 +422,40 @@ class TestCaptureCsv:
         assert loaded != make_capture(rows[1:], request_count=40, location_id="eq")
         with pytest.raises(dataclasses.FrozenInstanceError):
             loaded.request_count = 1
+
+    def test_the_tallies_stay_out_of_the_capture_identity(self, capture_factory):
+        loaded = load_capture(capture_factory("tally", seed=5, n=60))
+        rows = list(zip(*loaded.columns))
+        built = make_capture(rows, request_count=loaded.request_count, location_id="tally")
+        # Loading seeds the tallies and a built capture has none yet; neither shows them.
+        assert "_tallies" in vars(loaded) and "_tallies" not in vars(built)
+        assert loaded == built and hash(loaded) == hash(built) and repr(loaded) == repr(built)
+        assert [field.name for field in dataclasses.fields(loaded)] == [
+            "location_id", "distance_m", "environment", "p_tx_dbm", "request_count", "columns"]
+        record = summarize(loaded, BUDGET, THRESHOLDS)
+        assert repr(summarize(built, BUDGET, THRESHOLDS)) == repr(record)
+        for twin in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+            assert twin == loaded and hash(twin) == hash(loaded) and repr(twin) == repr(loaded)
+            assert repr(summarize(twin, BUDGET, THRESHOLDS)) == repr(record)
+        # replace builds a new capture, which tallies its own columns, not those it replaced.
+        other = [make_sample(seq=i, pcc=-70.0 - i) for i in range(5)]
+        replaced = dataclasses.replace(loaded, request_count=5, columns=CaptureColumns(*zip(*other)))
+        assert summarize(replaced, BUDGET, THRESHOLDS) == summarize(
+            make_capture(other, location_id="tally"), BUDGET, THRESHOLDS)
+
+    def test_a_loaded_capture_is_summarised_from_the_tallies_its_parse_counted(
+            self, capture_factory, monkeypatch):
+        path = capture_factory("seeded", seed=6, n=80)
+        expected = repr(summarize(load_capture(path), BUDGET, THRESHOLDS))
+
+        def refuse(column):
+            raise AssertionError("tallied a column again")
+
+        monkeypatch.setattr(campaign, "_count_values", refuse)
+        assert repr(summarize(load_capture(path), BUDGET, THRESHOLDS)) == expected
+        # A capture built directly tallies its columns on first use, through the patched builder.
+        with pytest.raises(AssertionError, match="^tallied a column again$"):
+            summarize(make_capture([make_sample()]), BUDGET, THRESHOLDS)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -64,6 +64,8 @@ CASES = {
         lambda: Frequency.from_mhz(10**400),
         "mhz must be a positive finite number, got a value beyond the float range"),
     "mhz-text": (lambda: Frequency.from_mhz("x"), "mhz must be a positive finite number, got 'x'"),
+    # A finite number of MHz whose Hz value is beyond the float range.
+    "mhz-overflowing-hz": (lambda: Frequency.from_mhz(1e305), "mhz 1e+305 MHz overflows to inf Hz"),
 }
 
 

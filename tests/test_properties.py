@@ -10,6 +10,7 @@ degenerate point sets."""
 import io
 import math
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
@@ -22,9 +23,22 @@ from dectlink.budget import (
     ReliabilityThresholds,
     ThresholdUnreachable,
     distance_for_path_loss,
+    empirical_pl,
+    is_reliable,
     max_link_distance,
 )
-from dectlink.campaign import CAPTURE_HEADER, load_capture, mean_power_db
+from dectlink.campaign import (
+    CAPTURE_HEADER,
+    CampaignRecord,
+    CaptureColumns,
+    LocationCapture,
+    load_capture,
+    mean_power_db,
+    sample_std_db,
+    success_rate_pcc,
+    success_rate_pdc,
+    summarize,
+)
 from dectlink.cli import _CONFIG_FLAGS, _write_csv, main
 from dectlink.config import RunConfig, load_config
 from dectlink.fitting import fit_log_distance, fit_log_distance_iterative
@@ -566,6 +580,112 @@ def test_mean_power_lies_between_the_db_mean_and_the_maximum(values):
     mean = mean_power_db(values)
     assert min(values) - 1e-9 <= mean <= max(values) + 1e-9
     assert mean >= math.fsum(values) / len(values) - 1e-9
+
+
+# Cells of a tallied column: one value spelled several ways, zeros of both signs, empty
+# cells, and values at the edges of the linear domain: 4000 dB overflows its power,
+# 3080 dB overflows only once summed, -4000 and -3300 dB underflow to 0, and spreads
+# of 1e200 dB overflow their squares.
+TALLY_CELLS = st.one_of(
+    st.sampled_from(("-80", "-80.0", "-8e1", "-80.00")),
+    st.sampled_from(("0", "0.0", "-0.0", "-0")),
+    st.just(""),
+    st.sampled_from(("4000", "3080", "-4000", "-3300", "-1e200", "1e200", "-1e308")),
+    st.floats(-120.0, -40.0).map(lambda v: repr(round(v, 1))),
+)
+
+
+@st.composite
+def tally_captures(draw):
+    """Capture rows as cell text; each column draws from a pool of a few cells, so cells repeat."""
+    n = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(3):
+        pool = [""] if draw(st.integers(0, 4)) == 0 else draw(st.lists(TALLY_CELLS, min_size=1,
+                                                                     max_size=4))
+        columns.append([draw(st.sampled_from(pool)) for _ in range(n)])
+    # A CRC flag may be 1 only on a row with that channel's RSSI.
+    flags = [["1" if cell and draw(st.booleans()) else "0" for cell in col] for col in columns[:2]]
+    return [[str(seq), *cells] for seq, cells in enumerate(zip(*columns, *flags))]
+
+
+def per_row_mean_power_db(values):
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"mean_power_db got a non-finite value: {bad!r}")
+    try:
+        mean = math.fsum([10.0 ** (v / 10.0) for v in values]) / len(values)
+    except OverflowError:
+        raise ValueError(f"mean_power_db: {max(values)!r} dB overflows the linear domain") from None
+    if mean == 0.0:
+        raise ValueError("mean_power_db: every value underflows to 0 in the linear domain, "
+                         f"the largest being {max(values)!r} dB")
+    return 10.0 * math.log10(mean)
+
+
+def per_row_std_db(values):
+    n = len(values)
+    if n < 2:
+        return 0.0
+    try:
+        mean = math.fsum(values) / n
+        std = math.sqrt(math.fsum([(v - mean) ** 2 for v in values]) / (n - 1))
+    except OverflowError:
+        std = math.inf
+    if not math.isfinite(std):
+        raise ValueError(
+            f"sample_std_db: {max(values, key=abs)!r} dB overflows the squared deviations")
+    return std
+
+
+def per_row_summarize(capture, budget, thresholds):
+    """summarize by the formulas it used before it read tallies: every statistic row by row."""
+    pcc, pdc, snr = ([v for v in column if v is not None] for column in capture.columns[1:4])
+    mean_pcc, mean_pdc, mean_snr = (per_row_mean_power_db(values) if values else None
+                                    for values in (pcc, pdc, snr))
+    sr_pcc, sr_pdc = success_rate_pcc(capture), success_rate_pdc(capture)
+    return CampaignRecord(
+        capture.location_id, capture.distance_m, capture.setting, capture.propagation,
+        capture.p_tx_dbm, capture.request_count, sr_pcc, sr_pdc, mean_pcc, mean_pdc,
+        per_row_std_db(pcc), min(pcc) if pcc else None, max(pcc) if pcc else None, mean_snr,
+        *(empirical_pl(capture.p_tx_dbm, m, budget) if m is not None else None
+          for m in (mean_pcc, mean_pdc)),
+        is_reliable(sr_pcc, thresholds) and is_reliable(sr_pdc, thresholds),
+    )
+
+
+def outcome(function, *args):
+    """repr of the result, which tells -0.0 from 0.0, or the type and text of the error."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+@settings(CAPTURE_PROPERTY, max_examples=300)
+@given(tally_captures())
+def test_tallied_summaries_match_the_per_row_formulas_bit_for_bit(capture_path, rows):
+    lines = [",".join(CAPTURE_HEADER), *(None for _ in rows)]
+    render_capture(capture_path, lines, range(2, len(rows) + 2), rows,
+                   [[("", "", False)] * len(row) for row in rows])
+    seq, *values, pcc_ok, pdc_ok = zip(*rows)
+    columns = CaptureColumns(
+        tuple(map(int, seq)), *(tuple(float(c) if c else None for c in col) for col in values),
+        tuple(map("1".__eq__, pcc_ok)), tuple(map("1".__eq__, pdc_ok)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # RSSI above 10 dBm warns
+        built = LocationCapture("prop", 50.0, "los-indoor", 0.0, len(rows), columns)
+        loaded = load_capture(capture_path)
+    budget, thresholds = LinkBudget(), ReliabilityThresholds()
+    assert loaded == built
+    expected = outcome(per_row_summarize, built, budget, thresholds)
+    assert outcome(summarize, loaded, budget, thresholds) == expected
+    assert outcome(summarize, built, budget, thresholds) == expected
+    for column in built.columns[1:4]:
+        samples = [v for v in column if v is not None]
+        if samples:
+            assert outcome(mean_power_db, samples) == outcome(per_row_mean_power_db, samples)
+        assert outcome(sample_std_db, samples) == outcome(per_row_std_db, samples)
 
 
 # ------------------------------------------------------------------ config files

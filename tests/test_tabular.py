@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dectlink import tabular
 from dectlink.campaign import CAPTURE_HEADER, load_capture
 from dectlink.config import load_config
-from dectlink.tabular import float_column, read_table
+from dectlink.tabular import counted_float_column, float_column, read_table
 
 from conftest import synth_capture_rows, write_capture
 
@@ -144,6 +144,15 @@ def test_float_column_gives_each_cell_its_value():
         -80.0, None, -80.0, -80.0, 0.0, None]
     with pytest.raises(ValueError, match=r"^line 2: column 'x' is not a number: ''$"):
         float_column(cells, range(1, 7), "x")
+
+
+def test_counted_float_column_tallies_each_distinct_cell_in_first_appearance_order():
+    cells = ["-80", "", "-80.0", "-80", "0", "", "-0.0", "-0.0"]
+    values, (distinct, counts) = counted_float_column(cells, range(1, 9), "x", optional=True)
+    assert values == float_column(cells, range(1, 9), "x", optional=True)
+    # Two spellings of one value are two cells; empty cells are not counted.
+    assert list(map(repr, distinct)) == ["-80.0", "-80.0", "0.0", "-0.0"]
+    assert counts == [2, 1, 1, 2]
 
 
 def test_byte_order_marks_are_ignored(tmp_path):
