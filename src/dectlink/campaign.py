@@ -17,9 +17,9 @@ capture, giving its location id, their count and the first seq.
 Logged values repeat, so `summarize` reads each RSSI and SNR column as a
 tally: its distinct values and the count of rows holding each. A loaded
 capture gets the tallies its parse counted; one built directly counts its
-columns on first use. Each power and squared deviation is computed once per
-distinct value, and each sum is a `math.fsum` over every row's term, so the
-summary has the bits a row-by-row computation gives.
+columns at construction. Each power and squared deviation is computed once
+per distinct value, and each sum is a `math.fsum` over every row's term, so
+the summary has the bits a row-by-row computation gives.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ import re
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 from operator import mul
 from typing import NamedTuple
 
 from .budget import LinkBudget, ReliabilityThresholds, empirical_pl, is_reliable
-from .propagation import _require_finite, _require_positive
+from .propagation import _require_finite, _require_positive, _setattr, _Value
 from .tabular import counted_float_column, field_parsers, int_column, parse_key_values, read_table
 
 TYPE_CHECKING = False
@@ -144,8 +143,7 @@ class CaptureColumns(NamedTuple):
 CAPTURE_HEADER = CaptureColumns._fields
 
 
-@dataclass(frozen=True)
-class LocationCapture:
+class LocationCapture(_Value):
     """A full capture at one location: rows plus sidecar metadata.
 
     request_count is the number of requests sent, which may exceed the
@@ -154,60 +152,58 @@ class LocationCapture:
 
     The rows are held column by column and are checked against the capture
     file's row rules; errors name the row index (`row N:`). Iterate the rows
-    as tuples with `zip(*capture.columns)`.
+    as tuples with `zip(*capture.columns)`. distance_m and p_tx_dbm are
+    stored as the floats their checks return. The RSSI and SNR columns'
+    tallies are counted here unless `load_capture` hands in its parse's;
+    the hot-RSSI check reads them, and they stay out of equality and repr.
     """
 
-    location_id: str
-    distance_m: float
-    environment: str
-    p_tx_dbm: float
-    request_count: int
-    columns: CaptureColumns
+    __match_args__ = ("location_id", "distance_m", "environment", "p_tx_dbm", "request_count",
+                      "columns")
+    __slots__ = (*__match_args__, "_tallies")
 
-    def __post_init__(self) -> None:
-        columns = self.columns
+    def __init__(self, location_id: str, distance_m: float, environment: str, p_tx_dbm: float,
+                 request_count: int, columns: CaptureColumns, *,
+                 _tallies: tuple[Tally, Tally, Tally] | None = None) -> None:
         if len(set(map(len, columns))) > 1:
             raise ValueError("capture columns must all have the same length")
         _check_rows(columns, range(len(columns.seq)), "row {}")
-        if not self.location_id:
+        if not location_id:
             raise ValueError("location_id must be non-empty")
-        _require_positive("distance_m", self.distance_m)
-        if not _ENVIRONMENT_RE.match(self.environment):
+        distance_m = _require_positive("distance_m", distance_m)
+        if not _ENVIRONMENT_RE.match(environment):
             raise ValueError(
                 "environment must look like 'los-indoor' or 'nlos-outdoor', "
-                f"got {self.environment!r}"
+                f"got {environment!r}"
             )
-        _require_finite("p_tx_dbm", self.p_tx_dbm)
-        if self.request_count <= 0:
-            raise ValueError(f"request_count must be positive, got {self.request_count!r}")
+        p_tx_dbm = _require_finite("p_tx_dbm", p_tx_dbm)
+        if request_count <= 0:
+            raise ValueError(f"request_count must be positive, got {request_count!r}")
         crc_ok = max(sum(columns.pcc_crc_ok), sum(columns.pdc_crc_ok))
-        if crc_ok > self.request_count:
+        if crc_ok > request_count:
             raise ValueError(
-                f"request_count {self.request_count} is below the number of "
+                f"request_count {request_count} is below the number of "
                 f"CRC-ok rows ({crc_ok})"
             )
-        rssi_columns = (columns.pcc_rssi_dbm, columns.pdc_rssi_dbm)
-        # filter(None, ...) drops None, and 0.0, which is not hot either.
-        hottest = max(max(filter(None, col), default=-math.inf) for col in rssi_columns)
-        if hottest > _SUSPICIOUS_RSSI_DBM:
-            hot = [[v for v in filter(None, col) if v > _SUSPICIOUS_RSSI_DBM]
-                   for col in rssi_columns]
-            # Any value equal to a column's first hot value is hot too, so index() finds its row.
-            first = min(col.index(values[0]) for col, values in zip(rssi_columns, hot) if values)
-            # Level 3 skips the generated __init__ and names the caller of LocationCapture(...).
+        if _tallies is None:
+            _tallies = (_count_values(columns.pcc_rssi_dbm), _count_values(columns.pdc_rssi_dbm),
+                        _count_values(columns.snr_db))
+        for name, value in zip(self.__slots__, (location_id, distance_m, environment, p_tx_dbm,
+                                                request_count, columns, _tallies)):
+            _setattr(self, name, value)
+        if max(max(values, default=-math.inf) for values, _ in _tallies[:2]) > _SUSPICIOUS_RSSI_DBM:
+            # A tally lists its values in the order the rows first hold them, so a column's first
+            # hot value there is that of its first hot row, which index() finds.
+            hot = [[(v, n) for v, n in zip(*tally) if v > _SUSPICIOUS_RSSI_DBM]
+                   for tally in _tallies[:2]]
+            first = min(column.index(pairs[0][0]) for column, pairs
+                        in zip((columns.pcc_rssi_dbm, columns.pdc_rssi_dbm), hot) if pairs)
             warnings.warn(
-                f"{self.location_id}: {sum(map(len, hot))} RSSI value(s) above "
+                f"{location_id}: {sum(n for pairs in hot for _, n in pairs)} RSSI value(s) above "
                 f"{_SUSPICIOUS_RSSI_DBM:.0f} dBm, the first at seq={columns.seq[first]}; "
                 "check the capture",
-                stacklevel=3,
+                stacklevel=2,
             )
-
-    @cached_property
-    def _tallies(self) -> tuple[Tally, Tally, Tally]:
-        """The tallies of the PCC RSSI, PDC RSSI and SNR columns; load_capture seeds them."""
-        columns = self.columns
-        return (_count_values(columns.pcc_rssi_dbm), _count_values(columns.pdc_rssi_dbm),
-                _count_values(columns.snr_db))
 
     @property
     def propagation(self) -> str:
@@ -401,11 +397,8 @@ def load_capture(csv_path: str | Path) -> LocationCapture:
     # load's peak RSS.
     del cells, floats
     try:
-        capture = LocationCapture(**meta, columns=columns)
+        return LocationCapture(**meta, columns=columns, _tallies=tallies)
     except ValueError:
         # The constructor checks the row rules by row index; name the file line instead.
         _check_rows(columns, numbers, "line {}")
         raise
-    # The parse counted each column's values: seed the capture's cached tallies with them.
-    vars(capture)["_tallies"] = tallies
-    return capture

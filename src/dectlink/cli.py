@@ -174,7 +174,9 @@ def cmd_analyze(args: argparse.Namespace) -> Answer:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     records.sort(key=lambda r: (r.distance_m, r.location_id))
-    rows = ({**vars(r), "reliable": int(r.reliable)}.values() for r in records)
+    # A row is the record's fields in order; the last, reliable, is written as 1/0.
+    fields = CampaignRecord.__match_args__
+    rows = ([*(getattr(r, name) for name in fields[:-1]), int(r.reliable)] for r in records)
 
     head = (
         f"{'location':<28} {'d (m)':>9} {'SR pcc':>7} {'SR pdc':>7} "
@@ -195,7 +197,7 @@ def cmd_analyze(args: argparse.Namespace) -> Answer:
         )
     except ValueError:
         lines.append("max reliable distance: none (no location clears the threshold)")
-    return CampaignRecord.__match_args__, rows, lines
+    return fields, rows, lines
 
 
 def _read_points_csv(path: str) -> list[tuple[float, float]]:

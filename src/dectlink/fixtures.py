@@ -5,15 +5,16 @@ Four small CSVs ship with the package: per-site maximum reliable distances
 outdoor links, and the radio configuration the campaign used. Loaders
 return typed rows; the comparison table keeps its published values
 verbatim, inconsistencies included, so analysis code can decide what to
-trust.
+trust. The rows are immutable values on `propagation._Value`, compared,
+hashed and shown over the fields their `__match_args__` name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
+from .propagation import _setattr, _Value
 from .tabular import float_column, read_table
 
 FIXTURE_FILES = (
@@ -31,20 +32,20 @@ def fixture_path(name: str) -> Path:
     return Path(__file__).with_name("data") / name
 
 
-@dataclass(frozen=True)
-class ReferenceLocation:
+class ReferenceLocation(_Value):
     """One measured site: how far the link reached and the TX power it took."""
 
-    site: str
-    setting: str
-    propagation: str
-    surroundings: str
-    distance_m: float
-    p_tx_dbm: float
+    __slots__ = __match_args__ = ("site", "setting", "propagation", "surroundings", "distance_m",
+                                  "p_tx_dbm")
+
+    def __init__(self, site: str, setting: str, propagation: str, surroundings: str,
+                 distance_m: float, p_tx_dbm: float) -> None:
+        for name, value in zip(self.__slots__, (site, setting, propagation, surroundings,
+                                                distance_m, p_tx_dbm)):
+            _setattr(self, name, value)
 
 
-@dataclass(frozen=True)
-class PathLossComparisonRow:
+class PathLossComparisonRow(_Value):
     """Published per-site path loss next to four model predictions.
 
     Model columns are None where the campaign reported nothing. Values are
@@ -52,19 +53,21 @@ class PathLossComparisonRow:
     stated distance.
     """
 
-    scenario: str
-    distance_m: float
-    height_diff_m: float
-    emp_pcc_db: float
-    emp_pdc_db: float
-    fspl_db: float | None
-    two_ray_db: float | None
-    okumura_hata_db: float | None
-    cost231_db: float | None
+    __slots__ = __match_args__ = ("scenario", "distance_m", "height_diff_m", "emp_pcc_db",
+                                  "emp_pdc_db", "fspl_db", "two_ray_db", "okumura_hata_db",
+                                  "cost231_db")
+
+    def __init__(self, scenario: str, distance_m: float, height_diff_m: float, emp_pcc_db: float,
+                 emp_pdc_db: float, fspl_db: float | None, two_ray_db: float | None,
+                 okumura_hata_db: float | None, cost231_db: float | None) -> None:
+        for name, value in zip(self.__slots__, (scenario, distance_m, height_diff_m, emp_pcc_db,
+                                                emp_pdc_db, fspl_db, two_ray_db, okumura_hata_db,
+                                                cost231_db)):
+            _setattr(self, name, value)
 
 
 # The files carry every field but the setting, which each loader supplies.
-_LOCATION_HEADER = tuple(f.name for f in fields(ReferenceLocation) if f.name != "setting")
+_LOCATION_HEADER = tuple(name for name in ReferenceLocation.__match_args__ if name != "setting")
 
 
 def _locations(name: str, setting: str) -> tuple[ReferenceLocation, ...]:
@@ -96,7 +99,7 @@ def load_outdoor_locations() -> tuple[ReferenceLocation, ...]:
 
 def load_pathloss_comparison() -> tuple[PathLossComparisonRow, ...]:
     """The published long-range path-loss comparison, verbatim."""
-    header = tuple(f.name for f in fields(PathLossComparisonRow))
+    header = PathLossComparisonRow.__match_args__
     numbers, (scenario, *cells) = read_table(fixture_path("pathloss_comparison.csv"), header)
     # The four model columns, after the two empirical ones, may be unreported.
     values = [

@@ -66,7 +66,7 @@ _setattr = object.__setattr__
 
 
 class _Value:
-    """Base of the planning value classes: immutable, with slots, and built in one __init__.
+    """Base of the package's value classes: immutable, with slots, and built in one __init__.
 
     A subclass names its fields, in order, in __match_args__, as a dataclass
     does, and stores each with _setattr, together with any value it derives

@@ -158,12 +158,13 @@ _FIELD_PARSERS = {"str": str, "int": _integer, "float": _finite_float,
 
 
 def field_parsers(cls: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[str], Any]]:
-    """Value parsers for the parameters of `cls.__init__` not in `skip`, chosen by annotation.
+    """Value parsers for the fields of `cls` (its __match_args__) not in `skip`, in order.
 
-    `float | None` also reads 'none' or an empty value as None.
+    Each parser is chosen by the field's `__init__` annotation; `float | None`
+    also reads 'none' or an empty value as None.
     """
-    return {name: _FIELD_PARSERS[kind] for name, kind in cls.__init__.__annotations__.items()
-            if name != "return" and name not in skip}
+    kinds = cls.__init__.__annotations__
+    return {name: _FIELD_PARSERS[kinds[name]] for name in cls.__match_args__ if name not in skip}
 
 
 _INLINE_COMMENT = re.compile(r"\s#")

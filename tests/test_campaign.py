@@ -1,7 +1,6 @@
 """Capture parsing, linear-domain statistics, and per-location summaries."""
 
 import copy
-import dataclasses
 import math
 import pickle
 import random
@@ -226,7 +225,44 @@ class TestCaptureValidation:
         rows = [make_sample(seq=0), make_sample(seq=1)]
         columns = CaptureColumns(*zip(*rows))._replace(seq=(0, 1, 1))
         with pytest.raises(ValueError, match="^capture columns must all have the same length$"):
-            dataclasses.replace(make_capture(rows), columns=columns)
+            LocationCapture("loc", 40.0, "los-indoor", 0.0, 2, columns)
+
+    def test_distance_and_tx_power_are_stored_as_the_floats_their_checks_return(self):
+        columns = CaptureColumns(*zip(make_sample()))
+        floats = LocationCapture("x", 40.0, "los-indoor", 0.0, 1, columns)
+        for distance in (40, "40"):
+            capture = LocationCapture("x", distance, "los-indoor", 0, 1, columns)
+            assert capture == floats and hash(capture) == hash(floats)
+            assert type(capture.distance_m) is float and type(capture.p_tx_dbm) is float
+            assert repr(capture) == repr(floats)
+            assert repr(capture).startswith(
+                "LocationCapture(location_id='x', distance_m=40.0, environment='los-indoor', "
+                "p_tx_dbm=0.0, request_count=1, columns=")
+
+    def test_the_hot_rssi_check_reads_the_tallies(self):
+        # The rows hold a hot value that the tallies handed in do not: no warning.
+        columns = CaptureColumns(*zip(make_sample(seq=0, pcc=14.0), make_sample(seq=1)))
+        cool = ([-80.0], [2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            LocationCapture("x", 40.0, "los-indoor", 0.0, 2, columns, _tallies=(cool, cool, cool))
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda capture: pickle.loads(pickle.dumps(capture)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_is_rebuilt_so_a_hot_capture_warns_again(self, duplicate):
+        samples = [make_sample(seq=i) for i in range(6)]
+        samples[3] = make_sample(seq=3, pcc=14.0)
+        with pytest.warns(UserWarning) as built:
+            capture = make_capture(samples)
+        with pytest.warns(UserWarning) as copied:
+            twin = duplicate(capture)
+        assert [str(w.message) for w in copied] == [str(w.message) for w in built] == [
+            "loc: 1 RSSI value(s) above 10 dBm, the first at seq=3; check the capture"]
+        assert twin == capture and hash(twin) == hash(capture) and repr(twin) == repr(capture)
+        assert twin is not capture and twin._tallies == capture._tallies
+        assert repr(summarize(twin, BUDGET, THRESHOLDS)) == repr(
+            summarize(capture, BUDGET, THRESHOLDS))
 
     def test_setting_and_propagation_split(self):
         cap = make_capture([make_sample()], environment="nlos-outdoor")
@@ -420,27 +456,31 @@ class TestCaptureCsv:
         rebuilt = make_capture(rows, request_count=loaded.request_count, location_id="eq")
         assert loaded == rebuilt and hash(loaded) == hash(rebuilt)
         assert loaded != make_capture(rows[1:], request_count=40, location_id="eq")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             loaded.request_count = 1
 
     def test_the_tallies_stay_out_of_the_capture_identity(self, capture_factory):
         loaded = load_capture(capture_factory("tally", seed=5, n=60))
         rows = list(zip(*loaded.columns))
         built = make_capture(rows, request_count=loaded.request_count, location_id="tally")
-        # Loading seeds the tallies and a built capture has none yet; neither shows them.
-        assert "_tallies" in vars(loaded) and "_tallies" not in vars(built)
+        # The loaded capture holds its parse's tallies and the built one its own count; the
+        # tallies are not a field, so neither equality, hashing nor repr sees them.
+        assert LocationCapture.__match_args__ == (
+            "location_id", "distance_m", "environment", "p_tx_dbm", "request_count", "columns")
         assert loaded == built and hash(loaded) == hash(built) and repr(loaded) == repr(built)
-        assert [field.name for field in dataclasses.fields(loaded)] == [
-            "location_id", "distance_m", "environment", "p_tx_dbm", "request_count", "columns"]
+        altered = make_capture(rows, request_count=loaded.request_count, location_id="tally")
+        object.__setattr__(altered, "_tallies", "the tallies of another capture")
+        assert altered == loaded and hash(altered) == hash(loaded) and repr(altered) == repr(loaded)
         record = summarize(loaded, BUDGET, THRESHOLDS)
         assert repr(summarize(built, BUDGET, THRESHOLDS)) == repr(record)
         for twin in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
             assert twin == loaded and hash(twin) == hash(loaded) and repr(twin) == repr(loaded)
             assert repr(summarize(twin, BUDGET, THRESHOLDS)) == repr(record)
-        # replace builds a new capture, which tallies its own columns, not those it replaced.
+        # A capture rebuilt from the loaded one's fields with other rows tallies its own rows.
         other = [make_sample(seq=i, pcc=-70.0 - i) for i in range(5)]
-        replaced = dataclasses.replace(loaded, request_count=5, columns=CaptureColumns(*zip(*other)))
-        assert summarize(replaced, BUDGET, THRESHOLDS) == summarize(
+        rebuilt = LocationCapture(loaded.location_id, loaded.distance_m, loaded.environment,
+                                  loaded.p_tx_dbm, 5, CaptureColumns(*zip(*other)))
+        assert summarize(rebuilt, BUDGET, THRESHOLDS) == summarize(
             make_capture(other, location_id="tally"), BUDGET, THRESHOLDS)
 
     def test_a_loaded_capture_is_summarised_from_the_tallies_its_parse_counted(
@@ -453,9 +493,10 @@ class TestCaptureCsv:
 
         monkeypatch.setattr(campaign, "_count_values", refuse)
         assert repr(summarize(load_capture(path), BUDGET, THRESHOLDS)) == expected
-        # A capture built directly tallies its columns on first use, through the patched builder.
+        # A capture built directly tallies its columns at construction, through the patched
+        # builder, not on first use.
         with pytest.raises(AssertionError, match="^tallied a column again$"):
-            summarize(make_capture([make_sample()]), BUDGET, THRESHOLDS)
+            make_capture([make_sample()])
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -66,7 +66,7 @@ def test_planning_through_the_package_loads_only_the_planning_modules():
      ["dataclasses", "inspect"]),
     (["analyze", "site.csv", "--format", "csv"], ["dectlink.campaign"],
      ["dataclasses", "inspect", "typing"]),
-    (["report", *HEIGHTS], ["dectlink.fixtures"], ["dataclasses", "inspect", "pathlib"]),
+    (["report", *HEIGHTS], ["dectlink.fixtures"], ["pathlib"]),
 ], ids=["plan", "model-eval", "model-sweep", "fit", "analyze", "report"])
 def test_each_subcommand_loads_only_its_own_modules(tmp_path, argv, adds, stdlib):
     write_capture(tmp_path, "site", synth_capture_rows(1, n=50))

@@ -1,8 +1,9 @@
-"""The planning value classes: immutable, compared over their fields, stored as checked.
+"""The package's value classes: immutable, compared over their fields, stored as checked.
 
 Each class names its fields in __match_args__ and may carry derived values
-beside them (a law, flags, a noise floor, shared components), which stay out
-of equality, hashing and repr, and survive a copy or a pickle round trip.
+beside them (a law, flags, a noise floor, shared components, a capture's
+tallies), which stay out of equality, hashing and repr, and survive a copy
+or a pickle round trip.
 """
 
 import copy
@@ -13,7 +14,9 @@ import pytest
 from dectlink.budget import (
     ENVIRONMENTS, LinkBudget, ReliabilityThresholds, ThresholdUnreachable, max_link_distance,
 )
+from dectlink.campaign import CaptureColumns, LocationCapture
 from dectlink.config import RunConfig
+from dectlink.fixtures import load_indoor_locations, load_pathloss_comparison
 from dectlink.propagation import (
     MODEL_KINDS, AntennaGeometry, Frequency, HataEnvironment, PathLossModel, ValidityFlag,
 )
@@ -46,6 +49,13 @@ VALUES = {
         lambda: RunConfig(tx_power_dbm=19.0, h_tx_m=10.0, h_rx_m=1.5, city_size="large"),
         ("_frequency", "_carrier_models", "_budget", "_thresholds", "_geometry", "_environment"),
     ),
+    "LocationCapture": (
+        lambda: LocationCapture("loc", 40.0, "los-indoor", 0.0, 3, CaptureColumns(
+            (0, 1), (-80.0, -81.5), (-80.5, None), (13.0, 12.0), (True, True), (True, False))),
+        ("_tallies",),
+    ),
+    "ReferenceLocation": (lambda: load_indoor_locations()[0], ()),
+    "PathLossComparisonRow": (lambda: load_pathloss_comparison()[-1], ()),
 }
 CLASSES = pytest.mark.parametrize("name", sorted(VALUES))
 
